@@ -24,6 +24,12 @@
 // tier-1 runs this, so a regression that drags delta cost back toward
 // full-snapshot cost cannot land silently.
 //
+// A second, information-only row prices a *dense* delta: the same bank
+// count on 3 shards with 80% of the banks dirty, the share a CE-dominated
+// feed leaves between 5000-record checkpoints (perfbench feed_dense's
+// persist.dirty_share). It times FleetServer::EncodeDeltaCheckpoint — the
+// member encoder CheckpointChain writes from — and does not enter the gate.
+//
 // Usage: perf_checkpoint [--banks N] [--dirty-fraction F] [--reps N]
 //                        [--delta-iters N] [--shards N] [--threshold X]
 //                        [--out FILE]
@@ -33,6 +39,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,12 +120,13 @@ struct BenchModels {
   }
 };
 
-/// Feed one CE to each bank in [first, first+step, ...) < banks and drain.
-void Touch(serve::FleetServer& server, std::uint64_t banks,
-           std::uint64_t first, std::uint64_t step, std::size_t per_bank,
-           double* clock, Rng& rng) {
+/// Feed `per_bank` CEs to each bank b < banks with touch(b) and drain.
+template <typename Pred>
+void Touch(serve::FleetServer& server, std::uint64_t banks, Pred&& touch,
+           std::size_t per_bank, double* clock, Rng& rng) {
   std::vector<trace::MceRecord> batch;
-  for (std::uint64_t b = first; b < banks; b += step) {
+  for (std::uint64_t b = 0; b < banks; ++b) {
+    if (!touch(b)) continue;
     for (std::size_t i = 0; i < per_bank; ++i) {
       trace::MceRecord record;
       record.time_s = (*clock += 1.0);
@@ -191,24 +199,29 @@ int main(int argc, char** argv) {
   }
 
   const BenchModels models;
-  serve::FleetServerConfig config;
-  config.shard_count = shards;
-  config.queue.capacity = static_cast<std::size_t>(banks) * 8 + 1;
-  serve::FleetServer server(models.topology, models.classifier,
-                            models.single_pred, models.double_or_null(),
-                            config);
-
   // Populate every bank (6 CEs each), checkpoint-clean the world, then
-  // re-dirty ~dirty_fraction of the banks with one CE each — the steady
-  // state a chain's delta writes see between compactions.
-  Rng rng(99);
-  double clock = 0.0;
-  server.Start();
-  Touch(server, banks, 0, 1, 6, &clock, rng);
-  server.MarkCheckpointClean();
+  // re-dirty the banks `dirty` picks with one CE each — the steady state a
+  // chain's delta writes see between compactions.
+  const auto make_server = [&](std::size_t shard_count, auto&& dirty) {
+    serve::FleetServerConfig config;
+    config.shard_count = shard_count;
+    config.queue.capacity = static_cast<std::size_t>(banks) * 8 + 1;
+    auto server = std::make_unique<serve::FleetServer>(
+        models.topology, models.classifier, models.single_pred,
+        models.double_or_null(), config);
+    Rng rng(99);
+    double clock = 0.0;
+    server->Start();
+    Touch(*server, banks, [](std::uint64_t) { return true; }, 6, &clock, rng);
+    server->MarkCheckpointClean();
+    Touch(*server, banks, dirty, 1, &clock, rng);
+    return server;
+  };
   const std::uint64_t dirty_step = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(1.0 / dirty_fraction));
-  Touch(server, banks, 0, dirty_step, 1, &clock, rng);
+  const auto server_ptr = make_server(
+      shards, [&](std::uint64_t b) { return b % dirty_step == 0; });
+  serve::FleetServer& server = *server_ptr;
   const std::size_t dirty_banks = server.DirtyBankCount();
 
   const auto save_full_text = [&] {
@@ -246,6 +259,24 @@ int main(int argc, char** argv) {
   }
   server.Stop();
 
+  // Information-only dense row: 3 shards, every bank but each fifth dirty.
+  constexpr std::size_t kDenseShards = 3;
+  const auto dense = make_server(
+      kDenseShards, [](std::uint64_t b) { return b % 5 != 0; });
+  const std::size_t dense_dirty = dense->DirtyBankCount();
+  const std::uint64_t dense_bytes = dense->EncodeDeltaCheckpoint().bytes.size();
+  double dense_best = 1e300;
+  for (std::size_t r = 0; r < reps; ++r) {
+    dense_best = std::min(
+        dense_best, TimeSave([&] { return dense->EncodeDeltaCheckpoint(); },
+                             delta_iters));
+  }
+  dense->Stop();
+  std::cout << "dense delta (info only): " << dense_dirty << " of "
+            << banks << " bank(s) dirty, " << kDenseShards << " shard(s), "
+            << dense_bytes << " B, " << std::setprecision(1)
+            << dense_best * 1e6 << " us\n";
+
   const double bytes_ratio =
       static_cast<double>(full_bytes) / static_cast<double>(delta_bytes);
   const double time_ratio = full_best / delta_best;
@@ -269,7 +300,11 @@ int main(int argc, char** argv) {
       << "  \"bytes_ratio\": " << bytes_ratio << ",\n"
       << "  \"time_ratio\": " << time_ratio << ",\n"
       << "  \"threshold\": " << threshold << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << "\n"
+      << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
+      << "  \"dense_delta_info\": {\"shard_count\": " << kDenseShards
+      << ", \"dirty_banks\": " << dense_dirty
+      << ", \"bytes\": " << dense_bytes
+      << ", \"seconds\": " << dense_best << "}\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
   return pass ? 0 : 1;

@@ -451,12 +451,12 @@ int main(int argc, char** argv) {
         banks = result.banks_written;
         chain_length = result.chain_length;
       } else {
-        std::ostringstream buffer;
-        server.SaveCheckpoint(buffer);
-        const std::string data = buffer.str();
-        serve::WriteFileDurably(opts.checkpoint, data, /*retain_prev=*/true);
-        bytes = data.size();
-        banks = server.TotalBankCount();
+        const core::EncodedState member =
+            server.EncodeCheckpoint(core::StateEncoding::kText);
+        serve::WriteFileDurably(opts.checkpoint, member.bytes,
+                                /*retain_prev=*/true);
+        bytes = member.bytes.size();
+        banks = member.banks;
       }
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

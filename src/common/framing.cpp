@@ -119,6 +119,78 @@ std::uint32_t Crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+namespace {
+
+constexpr std::uint32_t kCrc32Poly = 0xEDB88320u;  // reflected, as in Crc32
+
+/// a(x)·b(x) mod P(x) over GF(2), in the reflected bit order CRC-32 uses
+/// (bit 31 is x^0). `a` must be nonzero.
+std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1) ? (b >> 1) ^ kCrc32Poly : b >> 1;
+  }
+  return p;
+}
+
+/// x^(n·2^k) mod P(x): square-and-multiply over a table of x^(2^i).
+std::uint32_t X2NModP(std::uint64_t n, unsigned k) {
+  static const std::array<std::uint32_t, 32> x2n = [] {
+    std::array<std::uint32_t, 32> t{};
+    std::uint32_t p = 1u << 30;  // x^1
+    t[0] = p;
+    for (std::size_t i = 1; i < t.size(); ++i) t[i] = p = MultModP(p, p);
+    return t;
+  }();
+  std::uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k) {
+    if (n & 1) p = MultModP(x2n[k & 31], p);
+  }
+  return p;
+}
+
+}  // namespace
+
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b) {
+  // Appending len_b bytes multiplies A's remainder by x^(8·len_b); B's own
+  // CRC already accounts for the shared init/xorout (zlib's derivation).
+  return MultModP(X2NModP(len_b, 3), crc_a) ^ crc_b;
+}
+
+void ByteRope::Append(std::string piece) {
+  if (piece.empty()) return;
+  crc32_ = Crc32Combine(crc32_, Crc32(piece), piece.size());
+  size_ += piece.size();
+  pieces_.push_back(std::move(piece));
+}
+
+void ByteRope::Append(ByteRope&& other) {
+  crc32_ = Crc32Combine(crc32_, other.crc32_, other.size_);
+  size_ += other.size_;
+  for (std::string& piece : other.pieces_) pieces_.push_back(std::move(piece));
+  other = ByteRope();
+}
+
+std::string ByteRope::Flatten() const {
+  std::string bytes;
+  bytes.reserve(static_cast<std::size_t>(size_));
+  for (const std::string& piece : pieces_) bytes += piece;
+  return bytes;
+}
+
+void ByteRope::WriteTo(std::ostream& out) const {
+  for (const std::string& piece : pieces_) {
+    out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  }
+}
+
 FrameHeader ParseFrameHeaderLine(std::string_view line) {
   FrameHeader header;
   std::size_t pos = 0;
@@ -188,13 +260,33 @@ FramingStats GetFramingStats() {
   return stats;
 }
 
+namespace {
+
+/// The layout-v2 header line `<magic> v<version> <bytes> crc32=<hex>\n`.
+std::string FormatFrameHeaderLine(const std::string& magic,
+                                  std::uint32_t version,
+                                  std::uint64_t payload_bytes,
+                                  std::uint32_t payload_crc32) {
+  char tail[80];
+  std::snprintf(tail, sizeof(tail), " v%u %llu crc32=%08x\n", version,
+                static_cast<unsigned long long>(payload_bytes), payload_crc32);
+  return magic + tail;
+}
+
+}  // namespace
+
 void WriteFramed(std::ostream& out, const std::string& magic,
                  std::uint32_t version, const std::string& payload) {
-  char crc_hex[16];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(payload));
-  out << magic << " v" << version << ' ' << payload.size() << " crc32="
-      << crc_hex << '\n'
+  out << FormatFrameHeaderLine(magic, version, payload.size(), Crc32(payload))
       << payload;
+}
+
+ByteRope Frame(const std::string& magic, std::uint32_t version,
+               ByteRope payload) {
+  ByteRope frame(FormatFrameHeaderLine(magic, version, payload.size(),
+                                       payload.crc32()));
+  frame.Append(std::move(payload));
+  return frame;
 }
 
 std::string ReadFramed(std::istream& in, const std::string& magic,

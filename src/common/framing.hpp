@@ -40,6 +40,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace cordial {
 
@@ -56,6 +57,45 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes =
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `data` —
 /// the zlib/PNG checksum.
 std::uint32_t Crc32(std::string_view data);
+
+/// CRC-32 of the concatenation A‖B, given crc_a = Crc32(A), crc_b = Crc32(B)
+/// and len_b = |B| — zlib's crc32_combine, in O(log len_b) without reading
+/// either part. Lets a frame, and the file around it, be checksummed from
+/// its parts' CRCs, so an encoder passes over each payload byte once.
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
+
+/// A byte string kept as the owned pieces it was built from, with its
+/// length and CRC-32 maintained as pieces are appended: a new piece is
+/// checksummed once on the way in, and appending another rope only
+/// combines CRCs (Crc32Combine). Nested frames are built by putting a
+/// header line in front of their payload's pieces, so no layer copies or
+/// re-reads the bytes below it; WriteTo and the durable file writer
+/// gather the pieces straight to their destination.
+class ByteRope {
+ public:
+  ByteRope() = default;
+  explicit ByteRope(std::string piece) { Append(std::move(piece)); }
+
+  /// Append `piece` (its one checksum pass happens here).
+  void Append(std::string piece);
+  /// Append every piece of `other`; reads none of its bytes.
+  void Append(ByteRope&& other);
+
+  std::uint64_t size() const { return size_; }
+  /// CRC-32 of the concatenated bytes (equal to Crc32(Flatten())).
+  std::uint32_t crc32() const { return crc32_; }
+  const std::vector<std::string>& pieces() const { return pieces_; }
+
+  /// The bytes as one contiguous string (one copy).
+  std::string Flatten() const;
+  void WriteTo(std::ostream& out) const;
+
+ private:
+  std::vector<std::string> pieces_;
+  std::uint64_t size_ = 0;
+  std::uint32_t crc32_ = 0;  ///< Crc32 of the empty string
+};
 
 /// Running tallies of every frame this process has read, for the
 /// warn-and-count legacy migration. Monotonic, thread-safe.
@@ -89,6 +129,11 @@ FrameHeader ParseFrameHeaderLine(std::string_view line);
 /// header (layout v2).
 void WriteFramed(std::ostream& out, const std::string& magic,
                  std::uint32_t version, const std::string& payload);
+
+/// The same frame as WriteFramed, as a rope: the header line (built from
+/// the payload rope's size and CRC) followed by the payload's pieces.
+ByteRope Frame(const std::string& magic, std::uint32_t version,
+               ByteRope payload);
 
 /// Read one frame and return its payload. Throws ParseError when the magic
 /// differs, the version is not `expected_version`, the payload is shorter

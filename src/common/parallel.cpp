@@ -12,6 +12,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace cordial {
 
@@ -225,6 +226,32 @@ void ParallelFor(std::size_t n, std::size_t chunk,
   job.chunk = chunk > 0 ? chunk : std::max<std::size_t>(1, n / (threads * 8));
   job.body = &body;
   Pool::Instance().Run(job);
+}
+
+void RunConcurrently(std::size_t n,
+                     const std::function<void(std::size_t)>& body) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto run = [&](std::size_t i) {
+    try {
+      body(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(n > 0 ? n - 1 : 0);
+  for (std::size_t i = 1; i < n; ++i) {
+    try {
+      threads.emplace_back(run, i);
+    } catch (...) {
+      run(i);  // no thread to spare: this index runs here instead
+    }
+  }
+  if (n > 0) run(0);
+  for (std::thread& thread : threads) thread.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace cordial

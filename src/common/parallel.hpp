@@ -57,6 +57,16 @@ std::size_t ParseThreadCount(const char* text, std::string& error);
 void ParallelFor(std::size_t n, std::size_t chunk,
                  const std::function<void(std::size_t)>& body);
 
+/// Run body(i) for every i in [0, n) at the same time: index 0 on the
+/// calling thread, every other index on a short-lived thread of its own.
+/// Unlike ParallelFor this never touches the shared pool, so a
+/// latency-bound caller (a checkpoint encoding its shard sections) cannot
+/// queue behind long pool work such as a forest fit. Returns once every
+/// index has finished; the first exception, in index order, is rethrown.
+/// An index whose thread cannot be started runs on the calling thread.
+void RunConcurrently(std::size_t n,
+                     const std::function<void(std::size_t)>& body);
+
 /// Map [0, n) through fn, collecting results in index order. T must be
 /// default-constructible and assignable.
 template <typename T, typename Fn>

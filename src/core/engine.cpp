@@ -476,35 +476,36 @@ BankBlob DecodeBankBlob(persist::BinaryReader& in, std::uint64_t key,
 
 }  // namespace
 
-void PredictionEngine::SaveState(std::ostream& out,
-                                 StateEncoding encoding) const {
+EncodedState PredictionEngine::EncodeBinarySection(
+    const char* magic, std::uint32_t version,
+    const std::vector<std::uint64_t>& keys) const {
+  std::string payload;
+  persist::BinaryWriter writer(payload);
+  const std::size_t header_at = writer.BeginLength32();
+  EncodeStateHeader(writer, stats_, ledger_, replayer_);
+  writer.EndLength32(header_at);
+  writer.U64(keys.size());
+  for (const std::uint64_t key : keys) {
+    const BankState& state = banks_.at(key);
+    writer.U64(key);
+    const std::size_t blob_at = writer.BeginLength32();
+    EncodeBankBlob(writer, state.cordial, state.profile, ledger_, key,
+                   replayer_.Find(key), codec_);
+    writer.EndLength32(blob_at);
+  }
+  return EncodedState{Frame(magic, version, ByteRope(std::move(payload))),
+                      keys.size()};
+}
+
+EncodedState PredictionEngine::EncodeState(StateEncoding encoding) const {
   std::vector<std::uint64_t> keys;
   keys.reserve(banks_.size());
   for (const auto& [key, state] : banks_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
 
   if (encoding == StateEncoding::kBinary) {
-    std::string payload;
-    persist::BinaryWriter writer(payload);
-    std::string header;
-    persist::BinaryWriter header_writer(header);
-    EncodeStateHeader(header_writer, stats_, ledger_, replayer_);
-    writer.U32(static_cast<std::uint32_t>(header.size()));
-    writer.Bytes(header);
-    writer.U64(keys.size());
-    std::string blob;
-    for (const std::uint64_t key : keys) {
-      const BankState& state = banks_.at(key);
-      blob.clear();
-      persist::BinaryWriter blob_writer(blob);
-      EncodeBankBlob(blob_writer, state.cordial, state.profile, ledger_, key,
-                     replayer_.Find(key), codec_);
-      writer.U64(key);
-      writer.U32(static_cast<std::uint32_t>(blob.size()));
-      writer.Bytes(blob);
-    }
-    WriteFramed(out, kEngineStateMagic, kEngineStateBinaryVersion, payload);
-    return;
+    return EncodeBinarySection(kEngineStateMagic, kEngineStateBinaryVersion,
+                               keys);
   }
 
   std::ostringstream payload;
@@ -527,38 +528,30 @@ void PredictionEngine::SaveState(std::ostream& out,
             << state.cordial.last_anchor_row << '\n';
     state.profile.Save(payload);
   }
-  WriteFramed(out, kEngineStateMagic, kEngineStateVersion, payload.str());
+  return EncodedState{Frame(kEngineStateMagic, kEngineStateVersion,
+                            ByteRope(std::move(payload).str())),
+                      keys.size()};
 }
 
-std::uint64_t PredictionEngine::SaveDeltaState(std::ostream& out) const {
+void PredictionEngine::SaveState(std::ostream& out,
+                                 StateEncoding encoding) const {
+  EncodeState(encoding).bytes.WriteTo(out);
+}
+
+EncodedState PredictionEngine::EncodeDeltaState() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(dirty_banks_);
   for (const auto& [key, state] : banks_) {
     if (state.dirty_epoch == snapshot_epoch_) keys.push_back(key);
   }
   std::sort(keys.begin(), keys.end());
+  return EncodeBinarySection(kEngineDeltaMagic, kEngineDeltaVersion, keys);
+}
 
-  std::string payload;
-  persist::BinaryWriter writer(payload);
-  std::string header;
-  persist::BinaryWriter header_writer(header);
-  EncodeStateHeader(header_writer, stats_, ledger_, replayer_);
-  writer.U32(static_cast<std::uint32_t>(header.size()));
-  writer.Bytes(header);
-  writer.U64(keys.size());
-  std::string blob;
-  for (const std::uint64_t key : keys) {
-    const BankState& state = banks_.at(key);
-    blob.clear();
-    persist::BinaryWriter blob_writer(blob);
-    EncodeBankBlob(blob_writer, state.cordial, state.profile, ledger_, key,
-                   replayer_.Find(key), codec_);
-    writer.U64(key);
-    writer.U32(static_cast<std::uint32_t>(blob.size()));
-    writer.Bytes(blob);
-  }
-  WriteFramed(out, kEngineDeltaMagic, kEngineDeltaVersion, payload);
-  return keys.size();
+std::uint64_t PredictionEngine::SaveDeltaState(std::ostream& out) const {
+  EncodedState delta = EncodeDeltaState();
+  delta.bytes.WriteTo(out);
+  return delta.banks;
 }
 
 void PredictionEngine::MarkCheckpointClean() {

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/framing.hpp"
 #include "core/crossrow.hpp"
 #include "core/model_slot.hpp"
 #include "core/pattern_classifier.hpp"
@@ -114,6 +115,14 @@ enum class StateEncoding {
   kBinary,
 };
 
+/// One encoded snapshot — an engine section, or a whole fleet member — as
+/// the rope of its framed bytes (size and CRC-32 included), plus how many
+/// banks it carries.
+struct EncodedState {
+  ByteRope bytes;
+  std::uint64_t banks = 0;
+};
+
 /// Running tallies over everything the engine observed.
 struct EngineStats {
   std::size_t events = 0;
@@ -174,6 +183,10 @@ class PredictionEngine {
   /// constructed with the same models, topology and config.
   void SaveState(std::ostream& out,
                  StateEncoding encoding = StateEncoding::kText) const;
+  /// SaveState's exact bytes as a rope: the payload is encoded in place
+  /// (each bank's length-prefixed blob included), checksummed once, and
+  /// never copied; the frame header is the rope's only other piece.
+  EncodedState EncodeState(StateEncoding encoding) const;
 
   /// Replace this engine's mutable state with a SaveState stream's. Throws
   /// ParseError on malformed input or version mismatch. Strong guarantee:
@@ -220,6 +233,8 @@ class PredictionEngine {
   /// failed write loses nothing; call MarkCheckpointClean once the bytes
   /// are durable. Returns the number of banks written.
   std::uint64_t SaveDeltaState(std::ostream& out) const;
+  /// SaveDeltaState's exact bytes as a rope (encoded like EncodeState).
+  EncodedState EncodeDeltaState() const;
 
   /// Start a new snapshot epoch: every bank becomes clean. Call only after
   /// the snapshot (full or delta) that captured the current state is
@@ -338,6 +353,10 @@ class PredictionEngine {
 
   /// Adopt the slot's current generation (record-boundary call site).
   void RefreshModels();
+  /// The binary section shared by full (v2) and delta frames: the global
+  /// header, then `keys`' bank records in the given (ascending) order.
+  EncodedState EncodeBinarySection(const char* magic, std::uint32_t version,
+                                   const std::vector<std::uint64_t>& keys) const;
 
   hbm::AddressCodec codec_;
   // Always non-null; constructor-time referees until a slot swap replaces

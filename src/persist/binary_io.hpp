@@ -68,6 +68,24 @@ class BinaryWriter {
 
   void Bytes(std::string_view data) { out_.append(data.data(), data.size()); }
 
+  /// Write a u32 placeholder for a length not known yet; returns its
+  /// offset for EndLength32.
+  std::size_t BeginLength32() {
+    const std::size_t at = out_.size();
+    U32(0);
+    return at;
+  }
+  /// Fill the placeholder at `at` with the byte count written after it, so
+  /// a length-prefixed field is encoded in place instead of in a scratch
+  /// buffer that is then copied.
+  void EndLength32(std::size_t at) {
+    const std::size_t length = out_.size() - at - 4;
+    CORDIAL_CHECK_MSG(length <= 0xFFFFFFFFu, "length-prefixed field too large");
+    for (int i = 0; i < 4; ++i) {
+      out_[at + i] = static_cast<char>((length >> (8 * i)) & 0xFFu);
+    }
+  }
+
   std::string& buffer() { return out_; }
 
  private:

@@ -268,9 +268,8 @@ void OverlayImage(FleetImage& base, FleetImage&& delta,
 /// frame nesting and field layout the live server writes, so a fold of
 /// full+deltas is byte-identical to the full the server would have written
 /// at the same record boundary.
-std::string SerializeImageAsFull(const FleetImage& image) {
-  std::ostringstream payload;
-  payload << "shards " << image.shards.size() << '\n';
+ByteRope SerializeImageAsFull(const FleetImage& image) {
+  ByteRope payload("shards " + std::to_string(image.shards.size()) + "\n");
   for (const ShardImage& shard : image.shards) {
     std::string engine_payload;
     BinaryWriter writer(engine_payload);
@@ -282,13 +281,12 @@ std::string SerializeImageAsFull(const FleetImage& image) {
       writer.U32(static_cast<std::uint32_t>(blob.size()));
       writer.Bytes(blob);
     }
-    WriteFramed(payload, core::kEngineStateMagic,
-                core::kEngineStateBinaryVersion, engine_payload);
+    payload.Append(Frame(core::kEngineStateMagic,
+                         core::kEngineStateBinaryVersion,
+                         ByteRope(std::move(engine_payload))));
   }
-  std::ostringstream out;
-  WriteFramed(out, serve::kFleetCheckpointMagic, serve::kFleetCheckpointVersion,
-              payload.str());
-  return out.str();
+  return Frame(serve::kFleetCheckpointMagic, serve::kFleetCheckpointVersion,
+               std::move(payload));
 }
 
 /// Load the manifest for an offline tool: MANIFEST, then MANIFEST.prev.
@@ -570,25 +568,24 @@ void CheckpointChain::PersistManifest() const {
 }
 
 ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
-  std::ostringstream buffer;
-  server.SaveCheckpoint(buffer, core::StateEncoding::kBinary);
-  std::string bytes = buffer.str();
+  const core::EncodedState member =
+      server.EncodeCheckpoint(core::StateEncoding::kBinary);
 
   ChainEntry entry;
   entry.is_full = true;
   entry.epoch = manifest_.epoch + 1;
   entry.seq = 0;
   entry.file = FullFileName(entry.epoch);
-  entry.bytes = bytes.size();
-  entry.crc32 = Crc32(bytes);
+  entry.bytes = member.bytes.size();
+  entry.crc32 = member.bytes.crc32();
 
   ChainWriteResult result;
   result.full = true;
   result.file = PathOf(entry.file);
   result.bytes = entry.bytes;
-  result.banks_written = server.TotalBankCount();
+  result.banks_written = member.banks;
 
-  serve::WriteFileDurably(result.file, bytes, /*retain_prev=*/false);
+  serve::WriteFileDurably(result.file, member.bytes, /*retain_prev=*/false);
   const Manifest previous = manifest_;
   manifest_.epoch = entry.epoch;
   manifest_.entries.clear();
@@ -610,28 +607,26 @@ ChainWriteResult CheckpointChain::WriteFull(serve::FleetServer& server) {
 }
 
 ChainWriteResult CheckpointChain::WriteDelta(serve::FleetServer& server) {
-  std::ostringstream buffer;
-  const std::uint64_t banks = server.SaveDeltaCheckpoint(buffer);
-  std::string bytes = buffer.str();
+  const core::EncodedState member = server.EncodeDeltaCheckpoint();
 
   ChainEntry entry;
   entry.is_full = false;
   entry.epoch = manifest_.epoch;
   entry.seq = manifest_.entries.back().seq + 1;
   entry.file = DeltaFileName(entry.epoch, entry.seq);
-  entry.bytes = bytes.size();
-  entry.crc32 = Crc32(bytes);
+  entry.bytes = member.bytes.size();
+  entry.crc32 = member.bytes.crc32();
 
   ChainWriteResult result;
   result.full = false;
   result.file = PathOf(entry.file);
   result.bytes = entry.bytes;
-  result.banks_written = banks;
+  result.banks_written = member.banks;
 
   // Member first, manifest second, dirty set cleared last: a crash or
   // failure at any point leaves the previous chain restorable and the
   // not-yet-persisted banks still dirty.
-  serve::WriteFileDurably(result.file, bytes, /*retain_prev=*/false);
+  serve::WriteFileDurably(result.file, member.bytes, /*retain_prev=*/false);
   manifest_.entries.push_back(std::move(entry));
   try {
     PersistManifest();
@@ -708,13 +703,13 @@ ChainInspection InspectChain(const std::string& directory) {
 
 std::string FoldChain(const std::string& directory) {
   const Manifest manifest = RequireManifest(directory);
-  return SerializeImageAsFull(FoldManifest(directory, manifest));
+  return SerializeImageAsFull(FoldManifest(directory, manifest)).Flatten();
 }
 
 ChainWriteResult CompactChainFiles(const std::string& directory) {
   const Manifest manifest = RequireManifest(directory);
   const FleetImage image = FoldManifest(directory, manifest);
-  const std::string bytes = SerializeImageAsFull(image);
+  const ByteRope bytes = SerializeImageAsFull(image);
 
   ChainEntry entry;
   entry.is_full = true;
@@ -722,7 +717,7 @@ ChainWriteResult CompactChainFiles(const std::string& directory) {
   entry.seq = 0;
   entry.file = FullFileName(entry.epoch);
   entry.bytes = bytes.size();
-  entry.crc32 = Crc32(bytes);
+  entry.crc32 = bytes.crc32();
 
   ChainWriteResult result;
   result.full = true;

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
@@ -26,24 +26,27 @@ std::string DirectoryOf(const std::string& path) {
   return path.substr(0, slash);
 }
 
-/// write(2) the whole buffer, retrying short writes and EINTR.
-bool WriteAll(int fd, const char* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+/// write(2) every piece in order, retrying short writes and EINTR.
+bool WriteAll(int fd, std::span<const std::string_view> pieces) {
+  for (const std::string_view piece : pieces) {
+    std::size_t written = 0;
+    while (written < piece.size()) {
+      const ssize_t n =
+          ::write(fd, piece.data() + written, piece.size() - written);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return false;
+      }
+      written += static_cast<std::size_t>(n);
     }
-    written += static_cast<std::size_t>(n);
   }
   return true;
 }
 
-}  // namespace
-
-void WriteFileDurably(const std::string& path, std::string_view bytes,
-                      bool retain_prev) {
+/// WriteFileDurably over the concatenation of `pieces`.
+void WritePiecesDurably(const std::string& path,
+                        std::span<const std::string_view> pieces,
+                        bool retain_prev) {
   const std::string tmp = path + ".tmp";
   // Failure path shared by every step before the rename: drop the fd and
   // the tmp file so a failed checkpoint leaves no debris (and the previous
@@ -62,7 +65,7 @@ void WriteFileDurably(const std::string& path, std::string_view bytes,
 
   const bool write_ok = failpoint::ShouldFail("serve.checkpoint.write")
                             ? (errno = EIO, false)
-                            : WriteAll(fd, bytes.data(), bytes.size());
+                            : WriteAll(fd, pieces);
   if (!write_ok) fail(fd, "checkpoint tmp write failed");
 
   // The data must be on disk before anything points at it: rename first
@@ -120,11 +123,26 @@ void WriteFileDurably(const std::string& path, std::string_view bytes,
                                 "): " + std::strerror(errno));
 }
 
+}  // namespace
+
+void WriteFileDurably(const std::string& path, std::string_view bytes,
+                      bool retain_prev) {
+  WritePiecesDurably(path, std::span<const std::string_view>(&bytes, 1),
+                     retain_prev);
+}
+
+void WriteFileDurably(const std::string& path, const ByteRope& bytes,
+                      bool retain_prev) {
+  const std::vector<std::string_view> pieces(bytes.pieces().begin(),
+                                             bytes.pieces().end());
+  WritePiecesDurably(path, pieces, retain_prev);
+}
+
 void WriteCheckpointFile(const FleetServer& server, const std::string& path) {
   // Serialize first: a failure here costs nothing on disk.
-  std::ostringstream buffer;
-  server.SaveCheckpoint(buffer);
-  WriteFileDurably(path, buffer.str(), /*retain_prev=*/true);
+  WriteFileDurably(path,
+                   server.EncodeCheckpoint(core::StateEncoding::kText).bytes,
+                   /*retain_prev=*/true);
 }
 
 bool ReadCheckpointFile(FleetServer& server, const std::string& path) {

@@ -32,6 +32,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/framing.hpp"
+
 namespace cordial::serve {
 
 class FleetServer;
@@ -57,6 +59,10 @@ inline constexpr std::uint32_t kFleetDeltaVersion = 1;
 /// ContractViolation on failure; the tmp file is removed, `path` and
 /// `<path>.prev` are left as they were.
 void WriteFileDurably(const std::string& path, std::string_view bytes,
+                      bool retain_prev);
+/// The same, gathering a rope's pieces straight into the file (no
+/// flattening copy) — how checkpoint members reach disk.
+void WriteFileDurably(const std::string& path, const ByteRope& bytes,
                       bool retain_prev);
 
 /// Atomically and durably write `server`'s checkpoint to `path` (tmp +

@@ -6,11 +6,38 @@
 
 #include "common/check.hpp"
 #include "common/framing.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "serve/checkpoint.hpp"
 
 namespace cordial::serve {
+
+namespace {
+
+/// The one member encoder behind both kinds: every shard's section from
+/// `encode_shard`, all shards at once, behind the fleet frame `magic`
+/// v`version`.
+template <typename EncodeShard>
+core::EncodedState EncodeMember(
+    const char* magic, std::uint32_t version,
+    const std::vector<std::unique_ptr<EngineShard>>& shards,
+    EncodeShard&& encode_shard) {
+  std::vector<core::EncodedState> sections(shards.size());
+  RunConcurrently(shards.size(), [&](std::size_t s) {
+    sections[s] = encode_shard(*shards[s]);
+  });
+  core::EncodedState member;
+  ByteRope payload("shards " + std::to_string(shards.size()) + "\n");
+  for (core::EncodedState& section : sections) {
+    payload.Append(std::move(section.bytes));
+    member.banks += section.banks;
+  }
+  member.bytes = Frame(magic, version, std::move(payload));
+  return member;
+}
+
+}  // namespace
 
 FleetServer::FleetServer(const hbm::TopologyConfig& topology,
                          const core::PatternClassifier& classifier,
@@ -60,9 +87,8 @@ void FleetServer::DrainShard(std::size_t index) {
 std::string FleetServer::ExportShard(std::size_t index) {
   CORDIAL_CHECK_MSG(index < shards_.size(), "ExportShard: no such shard");
   shards_[index]->Drain();
-  std::ostringstream state;
-  shards_[index]->SaveState(state);
-  return state.str();
+  return shards_[index]->EncodeState(core::StateEncoding::kText)
+      .bytes.Flatten();
 }
 
 void FleetServer::ImportShard(std::size_t index, const std::string& state) {
@@ -219,24 +245,29 @@ std::string FleetServer::StatusTable() const {
                       " shards)");
 }
 
+core::EncodedState FleetServer::EncodeCheckpoint(
+    core::StateEncoding encoding) const {
+  return EncodeMember(kFleetCheckpointMagic, kFleetCheckpointVersion, shards_,
+                      [encoding](const EngineShard& shard) {
+                        return shard.EncodeState(encoding);
+                      });
+}
+
+core::EncodedState FleetServer::EncodeDeltaCheckpoint() const {
+  return EncodeMember(
+      kFleetDeltaMagic, kFleetDeltaVersion, shards_,
+      [](const EngineShard& shard) { return shard.EncodeDeltaState(); });
+}
+
 void FleetServer::SaveCheckpoint(std::ostream& out,
                                  core::StateEncoding encoding) const {
-  std::ostringstream payload;
-  payload << "shards " << shards_.size() << '\n';
-  for (const auto& shard : shards_) shard->SaveState(payload, encoding);
-  WriteFramed(out, kFleetCheckpointMagic, kFleetCheckpointVersion,
-              payload.str());
+  EncodeCheckpoint(encoding).bytes.WriteTo(out);
 }
 
 std::uint64_t FleetServer::SaveDeltaCheckpoint(std::ostream& out) const {
-  std::ostringstream payload;
-  payload << "shards " << shards_.size() << '\n';
-  std::uint64_t banks_written = 0;
-  for (const auto& shard : shards_) {
-    banks_written += shard->SaveDeltaState(payload);
-  }
-  WriteFramed(out, kFleetDeltaMagic, kFleetDeltaVersion, payload.str());
-  return banks_written;
+  core::EncodedState delta = EncodeDeltaCheckpoint();
+  delta.bytes.WriteTo(out);
+  return delta.banks;
 }
 
 void FleetServer::ApplyDeltaCheckpoint(std::istream& in) {

@@ -158,11 +158,20 @@ class FleetServer {
   /// engines themselves.
   std::string StatusTable() const;
 
-  /// Serialize every shard engine into one framed checkpoint. The server
-  /// must be drained (Drain() or Stop() first). The outer fleet frame is
-  /// the same for both encodings ("shards N" + nested engine frames); each
-  /// nested engine frame self-describes v1 text or v2 binary, so
+  /// Encode every shard engine into one framed checkpoint member. The
+  /// server must be drained (Drain() or Stop() first). The outer fleet frame
+  /// is the same for both encodings ("shards N" + nested engine frames);
+  /// each nested engine frame self-describes v1 text or v2 binary, so
   /// RestoreCheckpoint reads either transparently.
+  ///
+  /// The shards encode their sections concurrently (RunConcurrently — not
+  /// the shared ParallelFor pool, which a shadow forest fit may hold for
+  /// seconds), and the member is their sections' ropes behind the fleet
+  /// header: no section byte is copied or checksummed again, and the
+  /// member's whole-file CRC (EncodedState::bytes.crc32()) comes from the
+  /// sections' CRCs. `banks` is the number of banks serialized.
+  core::EncodedState EncodeCheckpoint(core::StateEncoding encoding) const;
+  /// EncodeCheckpoint's bytes written to `out`.
   void SaveCheckpoint(std::ostream& out, core::StateEncoding encoding =
                                              core::StateEncoding::kText) const;
   /// Restore from a SaveCheckpoint stream. Throws ParseError on malformed
@@ -174,9 +183,12 @@ class FleetServer {
 
   // --- delta checkpoints (server must be drained throughout) ---------------
 
-  /// Serialize every shard's dirty banks into one cordial_fleet_delta
-  /// frame. Dirty sets are NOT cleared — call MarkCheckpointClean once the
-  /// bytes are durable, so a failed write loses nothing. Returns the total
+  /// Encode every shard's dirty banks into one cordial_fleet_delta frame,
+  /// the same way EncodeCheckpoint encodes a full. Dirty sets are NOT
+  /// cleared — call MarkCheckpointClean once the bytes are durable, so a
+  /// failed write loses nothing.
+  core::EncodedState EncodeDeltaCheckpoint() const;
+  /// EncodeDeltaCheckpoint's bytes written to `out`; returns the total
   /// number of banks written across shards.
   std::uint64_t SaveDeltaCheckpoint(std::ostream& out) const;
   /// Apply a delta on top of the current state (the full snapshot it chains

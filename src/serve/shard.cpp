@@ -306,21 +306,22 @@ obs::RegistrySnapshot EngineShard::MetricsSnapshot() const {
   return metrics_registry_.Snapshot();
 }
 
-void EngineShard::SaveState(std::ostream& out,
-                            core::StateEncoding encoding) const {
-  std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before checkpointing");
-  engine_.SaveState(out, encoding);
+void EngineShard::CheckDrained(const char* action) const {
+  CORDIAL_CHECK_MSG(ring_.ApproxEmpty() && DrainedNow(),
+                    std::string("shard must be drained before ") + action);
 }
 
-std::uint64_t EngineShard::SaveDeltaState(std::ostream& out) const {
+core::EncodedState EngineShard::EncodeState(
+    core::StateEncoding encoding) const {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before checkpointing");
-  return engine_.SaveDeltaState(out);
+  CheckDrained("checkpointing");
+  return engine_.EncodeState(encoding);
+}
+
+core::EncodedState EngineShard::EncodeDeltaState() const {
+  std::lock_guard<std::mutex> lock(control_mutex_);
+  CheckDrained("checkpointing");
+  return engine_.EncodeDeltaState();
 }
 
 core::PredictionEngine::StagedDelta EngineShard::ParseDeltaState(
@@ -331,41 +332,31 @@ core::PredictionEngine::StagedDelta EngineShard::ParseDeltaState(
 void EngineShard::CommitDeltaState(
     core::PredictionEngine::StagedDelta&& staged) {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before restoring");
+  CheckDrained("restoring");
   engine_.CommitDeltaState(std::move(staged));
 }
 
 void EngineShard::MarkCheckpointClean() {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before marking a checkpoint clean");
+  CheckDrained("marking a checkpoint clean");
   engine_.MarkCheckpointClean();
 }
 
 std::size_t EngineShard::dirty_bank_count() const {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before reading dirty state");
+  CheckDrained("reading dirty state");
   return engine_.dirty_bank_count();
 }
 
 std::size_t EngineShard::bank_count() const {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before reading dirty state");
+  CheckDrained("reading dirty state");
   return engine_.bank_count();
 }
 
 void EngineShard::RestoreState(std::istream& in) {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before restoring");
+  CheckDrained("restoring");
   engine_.RestoreState(in);
 }
 
@@ -376,9 +367,7 @@ core::PredictionEngine::StagedState EngineShard::ParseState(
 
 void EngineShard::CommitState(core::PredictionEngine::StagedState&& staged) {
   std::lock_guard<std::mutex> lock(control_mutex_);
-  CORDIAL_CHECK_MSG(
-      ring_.ApproxEmpty() && !busy_.load(std::memory_order_acquire),
-      "shard must be drained before restoring");
+  CheckDrained("restoring");
   engine_.CommitState(std::move(staged));
 }
 
@@ -386,13 +375,11 @@ void EngineShard::WorkerLoop() {
   QueueItem* const buf = drain_buf_.data();
   const std::size_t batch_max = queue_config_.batch_max;
   for (;;) {
-    // busy_ goes up before the claim so the drained-shard contract checks
-    // (SaveState etc.) never see "ring empty, worker idle" while a batch
-    // is in flight between the ring and the engine.
-    busy_.store(true, std::memory_order_release);
+    // A popped batch is in flight between the ring and the engine until
+    // processed_ covers it, so the drained-shard checks (CheckDrained),
+    // which read the counts, never mistake it for an idle shard.
     const std::size_t n = ring_.TryPopBatch(buf, batch_max);
     if (n == 0) {
-      busy_.store(false, std::memory_order_release);
       idle_.Notify();  // a Drain may be parked on exactly this moment
       const bool stopping =
           state_.load(std::memory_order_acquire) == State::kStopping;
@@ -427,7 +414,6 @@ void EngineShard::WorkerLoop() {
     }
     processed_.fetch_add(n, std::memory_order_release);
     if (queue_metrics_.processed) queue_metrics_.processed->Increment(n);
-    busy_.store(false, std::memory_order_release);
     if (ring_.ApproxEmpty()) idle_.Notify();
   }
 }

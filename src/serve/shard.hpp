@@ -171,10 +171,10 @@ class EngineShard {
   /// line millions of times per second for a value only scrapes ever read.
   obs::RegistrySnapshot MetricsSnapshot() const;
 
-  /// Checkpoint the engine (PredictionEngine::SaveState). The shard must be
-  /// drained or stopped — enforced by a contract check.
-  void SaveState(std::ostream& out,
-                 core::StateEncoding encoding = core::StateEncoding::kText) const;
+  /// Checkpoint the engine (PredictionEngine::EncodeState). The shard must
+  /// be drained or stopped — enforced by a contract check. Distinct shards
+  /// encode concurrently (each takes only its own control mutex).
+  core::EncodedState EncodeState(core::StateEncoding encoding) const;
   /// Restore the engine from a SaveState stream (same contract). Strong
   /// guarantee: a ParseError leaves the engine unchanged.
   void RestoreState(std::istream& in);
@@ -187,10 +187,10 @@ class EngineShard {
   void CommitState(core::PredictionEngine::StagedState&& staged);
 
   // --- delta checkpoints (drained-shard contract throughout) ---------------
-  /// Serialize this engine's dirty banks (PredictionEngine::SaveDeltaState);
-  /// the dirty set is not cleared — call MarkCheckpointClean once the bytes
-  /// are durable. Returns the number of banks written.
-  std::uint64_t SaveDeltaState(std::ostream& out) const;
+  /// Serialize this engine's dirty banks (PredictionEngine::
+  /// EncodeDeltaState); the dirty set is not cleared — call
+  /// MarkCheckpointClean once the bytes are durable.
+  core::EncodedState EncodeDeltaState() const;
   /// Parse a delta without touching the engine (lock-free, like ParseState).
   core::PredictionEngine::StagedDelta ParseDeltaState(std::istream& in) const;
   /// Apply a staged delta on top of the current engine state.
@@ -228,12 +228,18 @@ class EngineShard {
   }
   /// True when every accepted record has been consumed (processed or
   /// dropped). Acquire loads, so a true answer also publishes the worker's
-  /// engine writes to the caller.
+  /// engine writes to the caller: the worker adds a batch to processed_
+  /// only after the engine has consumed all of it.
   bool DrainedNow() const {
     return processed_.load(std::memory_order_acquire) +
                dropped_.load(std::memory_order_acquire) >=
            submitted_.load(std::memory_order_acquire);
   }
+  /// The contract behind every engine access from outside the worker
+  /// (checkpoint, restore, dirty-set reads): nothing queued, every accepted
+  /// record consumed. Decided from the counts alone, so it holds the moment
+  /// Drain() returns, whatever the worker's loop is doing next.
+  void CheckDrained(const char* action) const;
   void CountRejected(std::uint64_t n);
   void CountDropped(std::uint64_t n);
   void CountSubmitted(std::uint64_t n);
@@ -253,7 +259,6 @@ class EngineShard {
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> next_latency_stamp_{0};
-  std::atomic<bool> busy_{false};  ///< worker is inside an engine batch
   std::atomic<State> state_{State::kIdle};
 
   /// Park points (spin-then-park waiters only; never touched while the

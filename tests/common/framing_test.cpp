@@ -11,6 +11,7 @@
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "common/rng.hpp"
 
 namespace cordial {
 namespace {
@@ -188,6 +189,78 @@ TEST(Framing, Crc32MatchesKnownVectors) {
   // zlib/PNG CRC and not some homegrown variant.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
+}
+
+/// `n` pseudo-random bytes (a fixed stream per seed).
+std::string RandomBytes(Rng& rng, std::size_t n) {
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformU64(256));
+  return bytes;
+}
+
+/// Crc32Combine of the split a‖b must equal the CRC of the whole.
+void ExpectCombineMatches(const std::string& a, const std::string& b) {
+  EXPECT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), Crc32(a + b))
+      << "|a| = " << a.size() << ", |b| = " << b.size();
+}
+
+TEST(Framing, Crc32CombineMatchesCrcOfConcatenation) {
+  Rng rng(2212);
+  // Random splits of random buffers.
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string whole =
+        RandomBytes(rng, static_cast<std::size_t>(rng.UniformU64(4096)));
+    const std::size_t cut =
+        static_cast<std::size_t>(rng.UniformU64(whole.size() + 1));
+    ExpectCombineMatches(whole.substr(0, cut), whole.substr(cut));
+  }
+  // Empty left or right parts (and both).
+  const std::string some = RandomBytes(rng, 100);
+  ExpectCombineMatches("", some);
+  ExpectCombineMatches(some, "");
+  ExpectCombineMatches("", "");
+  // Every length pair 0..17, across Crc32's 8-byte slice boundary.
+  for (std::size_t la = 0; la <= 17; ++la) {
+    for (std::size_t lb = 0; lb <= 17; ++lb) {
+      ExpectCombineMatches(RandomBytes(rng, la), RandomBytes(rng, lb));
+    }
+  }
+  // Mebibyte parts.
+  ExpectCombineMatches(RandomBytes(rng, 1 << 20), RandomBytes(rng, 1 << 20));
+}
+
+TEST(Framing, ByteRopeKeepsSizeAndCrcOfItsConcatenation) {
+  Rng rng(14);
+  ByteRope rope;
+  std::string expected;
+  for (int i = 0; i < 20; ++i) {
+    const std::string piece =
+        RandomBytes(rng, static_cast<std::size_t>(rng.UniformU64(300)));
+    expected += piece;
+    if (i % 3 == 0) {
+      ByteRope nested(piece);
+      rope.Append(std::move(nested));
+    } else {
+      rope.Append(piece);
+    }
+  }
+  EXPECT_EQ(rope.size(), expected.size());
+  EXPECT_EQ(rope.crc32(), Crc32(expected));
+  EXPECT_EQ(rope.Flatten(), expected);
+  std::ostringstream out;
+  rope.WriteTo(out);
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(Framing, FrameRopeIsByteIdenticalToWriteFramed) {
+  const std::string payload = "nested payload\n\x01\x02 raw";
+  std::ostringstream out;
+  WriteFramed(out, "rope_magic", 4, payload);
+  const ByteRope frame = Frame("rope_magic", 4, ByteRope(payload));
+  EXPECT_EQ(frame.Flatten(), out.str());
+  EXPECT_EQ(frame.crc32(), Crc32(out.str()));
+  EXPECT_EQ(Frame("empty", 1, ByteRope()).Flatten(),
+            "empty v1 0 crc32=00000000\n");
 }
 
 TEST(Framing, ReadFailpointInjectsParseError) {

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace cordial {
@@ -88,6 +90,36 @@ TEST(Parallel, ExceptionAbortsRemainingChunks) {
   }
   // First failure marks the job failed; later chunk claims bail out early.
   EXPECT_LT(executed.load(), 100000);
+}
+
+TEST(Parallel, RunConcurrentlyRunsEveryIndexAtOnceWithoutThePool) {
+  // One thread in the pool: only RunConcurrently's own threads can let all
+  // indices be in flight together, which each index waits to see.
+  const ForcedThreads guard(1);
+  constexpr std::size_t kIndices = 4;
+  std::atomic<std::size_t> in_flight{0};
+  std::vector<int> hits(kIndices, 0);
+  RunConcurrently(kIndices, [&](std::size_t i) {
+    ++hits[i];
+    in_flight.fetch_add(1);
+    while (in_flight.load() < kIndices) std::this_thread::yield();
+  });
+  EXPECT_EQ(hits, std::vector<int>(kIndices, 1));
+}
+
+TEST(Parallel, RunConcurrentlyRethrowsTheFirstFailureAfterAllFinish) {
+  std::atomic<int> finished{0};
+  try {
+    RunConcurrently(5, [&](std::size_t i) {
+      finished.fetch_add(1);
+      if (i == 1 || i == 3) throw std::runtime_error("index " +
+                                                     std::to_string(i));
+    });
+    FAIL() << "expected a rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 1");
+  }
+  EXPECT_EQ(finished.load(), 5);
 }
 
 TEST(Parallel, NestedParallelForRunsInlineAndCoversAll) {

@@ -12,18 +12,24 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "common/framing.hpp"
+#include "common/parallel.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/fleet_server.hpp"
 #include "support/serve_world.hpp"
+#include "support/sha256.hpp"
 
 namespace cordial::persist {
 namespace {
@@ -34,9 +40,9 @@ using serve::test_support::World;
 
 constexpr std::size_t kShardCount = 2;
 
-FleetServer MakeServer(const World& w) {
+FleetServer MakeServer(const World& w, std::size_t shards = kShardCount) {
   serve::FleetServerConfig config;
-  config.shard_count = kShardCount;
+  config.shard_count = shards;
   return FleetServer(w.topology, w.classifier, w.single_pred,
                      w.double_or_null(), config);
 }
@@ -540,6 +546,128 @@ TEST(ChainInspect, ReportsSoundChainsAndNamesCorruptMembers) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find(victim_file), std::string::npos);
   }
+}
+
+// --- member bytes --------------------------------------------------------
+
+/// SHA-256 of every member kind the encoder emits, for a seeded fixture: the
+/// fleet's first half fed and marked clean, then the second half fed (so
+/// the delta carries a real dirty set). The digests pin the on-disk
+/// format: a change here is a format change and needs a frame or payload
+/// version bump.
+TEST(ChainMemberBytes, MatchRecordedDigestsForEveryShardCount) {
+  struct Golden {
+    std::size_t shards;
+    const char* text_full;
+    const char* binary_full;
+    const char* delta;
+  };
+  const Golden goldens[] = {
+      {1, "32b1568a20688ecaa234f88308acb3b6eb91429177fd7343d6bdcb528ab2dd54",
+       "1c0bb8da3d595ae0a6f0836a14d096871cbdba8421183efdccaa79d1db6e6cda",
+       "d795d6071e7b6a6339332bfccff5c3725eae6d39e7c5c6bfed5ea5b1d257234e"},
+      {2, "3961300da20fa12a2750d41c1cecacb6c343043e7beb7d159ff12043de445d2d",
+       "867ffcef5c4f2f349a9e62fc35235cf605a5125e820969807610bd96164130ec",
+       "9590692326032dd2649b24619cab0aa1b3620ec042a7872333a01be1862a3b85"},
+      {3, "9b88c53b15c1277862afa34c707badf13b57f2ae59aa438ce1e0fd91b36d7c09",
+       "f7554d2661bef93fb84d72d6145c9d17f0c6a5338844c9ae6c06e71a7004d1a1",
+       "cf6716aaa31ffb578c410acf1479a8de7d7ef36efa2f10143775dff172dc332f"},
+      {8, "4abd4b291da52cdb8bc28541f053a0286d51fefa389c188663daac156ca1ca51",
+       "63d3572a97f6a6f6f298edb4735a12d502e00da47e4e3071bdafa0ed874db6f0",
+       "0860cde8bb2fecde7e3dbf0b0416271af5fbb2caa4acb813c08f333ed7668336"},
+  };
+  const World& w = SharedWorld();
+  const std::size_t total = w.fleet.log.records().size();
+  for (const Golden& golden : goldens) {
+    FleetServer server = MakeServer(w, golden.shards);
+    server.Start();
+    Feed(server, w, 0, total / 2);
+    server.MarkCheckpointClean();
+    Feed(server, w, total / 2, total);
+    std::ostringstream delta;
+    server.SaveDeltaCheckpoint(delta);
+    EXPECT_EQ(test_support::Sha256Hex(TextCheckpoint(server)),
+              golden.text_full)
+        << golden.shards << " shard(s)";
+    EXPECT_EQ(test_support::Sha256Hex(BinaryCheckpoint(server)),
+              golden.binary_full)
+        << golden.shards << " shard(s)";
+    EXPECT_EQ(test_support::Sha256Hex(delta.str()), golden.delta)
+        << golden.shards << " shard(s)";
+    server.Stop();
+  }
+}
+
+TEST(ChainMemberBytes, ManifestCrcsMatchTheFilesOnDisk) {
+  const World& w = SharedWorld();
+  ScratchDir dir;
+  FleetServer server = MakeServer(w, 3);
+  CheckpointChain chain(ChainConfig{dir.path(), /*compact_every=*/2});
+  server.Start();
+  const std::size_t step = w.fleet.log.records().size() / 6;
+  for (std::size_t i = 0; i < 5; ++i) {
+    Feed(server, w, i * step, (i + 1) * step);
+    // What the member must hold: the stream wrappers' bytes for the kind
+    // this write is about to pick (full on the first and folding writes).
+    std::ostringstream delta;
+    server.SaveDeltaCheckpoint(delta);
+    const std::string full = BinaryCheckpoint(server);
+    const ChainWriteResult result = chain.Write(server);
+    EXPECT_EQ(FileBytes(result.file), result.full ? full : delta.str())
+        << "write " << i;
+
+    std::ifstream in(dir.File(kManifestFileName), std::ios::binary);
+    const Manifest manifest = DecodeManifest(in);
+    ASSERT_EQ(manifest.entries.size(), chain.chain_length());
+    for (const ChainEntry& entry : manifest.entries) {
+      const std::string bytes = FileBytes(dir.File(entry.file));
+      EXPECT_EQ(entry.bytes, bytes.size()) << entry.file;
+      EXPECT_EQ(entry.crc32, Crc32(bytes)) << entry.file;
+    }
+  }
+  server.Stop();
+}
+
+TEST(ChainMemberBytes, WriteDoesNotWaitForTheSharedComputePool) {
+  // A shadow forest fit can hold the ParallelFor pool for seconds; the
+  // checkpoint path must not queue behind it.
+  const World& w = SharedWorld();
+  ScratchDir dir;
+  FleetServer server = MakeServer(w, 3);
+  CheckpointChain chain(ChainConfig{dir.path(), 16});
+  server.Start();
+  Feed(server, w, 0, w.fleet.log.records().size() / 2);
+  chain.Write(server);  // the full; the timed write below is a delta
+  Feed(server, w, w.fleet.log.records().size() / 2,
+       w.fleet.log.records().size());
+
+  // Every pool thread (3 workers + the fit's own thread) sleeps in the fit
+  // before the write starts.
+  constexpr int kPoolThreads = 4;
+  constexpr auto kTaskSleep = std::chrono::milliseconds(500);
+  SetThreadCount(kPoolThreads);
+  std::atomic<int> started{0};
+  std::atomic<bool> pool_done{false};
+  std::thread fit([&] {
+    ParallelFor(kPoolThreads, 1, [&](std::size_t) {
+      started.fetch_add(1);
+      std::this_thread::sleep_for(kTaskSleep);
+    });
+    pool_done.store(true);
+  });
+  while (started.load() < kPoolThreads) std::this_thread::yield();
+
+  const auto begin = std::chrono::steady_clock::now();
+  const ChainWriteResult result = chain.Write(server);
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  const bool finished_first = !pool_done.load();
+  fit.join();
+  SetThreadCount(0);
+  server.Stop();
+
+  EXPECT_FALSE(result.full);
+  EXPECT_TRUE(finished_first) << "the checkpoint waited for the pool job";
+  EXPECT_LT(elapsed, kTaskSleep / 2);
 }
 
 // --- manifest codec -------------------------------------------------------

@@ -271,6 +271,42 @@ TEST(FleetServerShard, StopDrainsPendingWorkAndIsIdempotent) {
   EXPECT_FALSE(shard.Submit(MakeCe(33.0, 1)));  // stopped shards refuse
 }
 
+// Drain() returning means drained: every drained-state check that follows
+// (checkpoint encoding — which runs on several shards at once — dirty-set
+// reads, MarkCheckpointClean) must accept the shard, whatever the worker
+// thread is doing after its last batch.
+TEST(FleetServer, DrainedStateChecksNeverRefuseAfterDrain) {
+  const World& w = SharedWorld();
+  FleetServerConfig config;
+  config.shard_count = 3;
+  FleetServer server(w.topology, w.classifier, w.single_pred,
+                     w.double_or_null(), config);
+  server.Start();
+  constexpr std::size_t kRounds = 10000;
+  std::vector<trace::MceRecord> batch(6);
+  double t = 0.0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i] = MakeCe(t += 1.0, static_cast<std::uint32_t>(round % 4096));
+      batch[i].address.bank_group = static_cast<std::uint32_t>(i % 4);
+      batch[i].address.bank = static_cast<std::uint32_t>((round + i) % 4);
+    }
+    ASSERT_EQ(server.SubmitBatch(batch), batch.size());
+    server.Drain();
+    try {
+      std::ostringstream delta;
+      server.SaveDeltaCheckpoint(delta);
+      server.MarkCheckpointClean();
+      EXPECT_EQ(server.DirtyBankCount(), 0u);
+      EXPECT_GT(server.TotalBankCount(), 0u);
+    } catch (const ContractViolation& e) {
+      FAIL() << "round " << round << ": " << e.what();
+    }
+  }
+  server.Stop();
+  EXPECT_EQ(server.AggregateStats().events, kRounds * batch.size());
+}
+
 // The batched ingest path is an optimization, never a semantic: a server
 // fed via SubmitBatch must end bit-identical — stats, ledgers, checkpoint
 // bytes — to the same server fed record by record.
