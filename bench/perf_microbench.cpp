@@ -1,7 +1,8 @@
 // Engineering micro-benchmarks (google-benchmark): throughput of the hot
 // paths — RNG, ECC codec, address packing, log grouping, feature
-// extraction, model inference and fleet generation. Not a paper table;
-// validates that the library is fast enough for fleet-scale use.
+// extraction, forest fitting, model inference and fleet generation. Not a
+// paper table; validates that the library is fast enough for fleet-scale
+// use.
 #include <benchmark/benchmark.h>
 
 #include "analysis/labeler.hpp"
@@ -162,6 +163,33 @@ void BM_ForestPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestPredict);
+
+void BM_RandomForestFit(benchmark::State& state) {
+  // The single-row cross-row predictor's training set, the largest of the
+  // three fits in a train round, fitted with the default 100-tree forest.
+  static const ml::Dataset data = [] {
+    analysis::PatternLabeler labeler(SharedFleet().topology);
+    std::vector<const trace::BankHistory*> singles;
+    for (const auto& bank : SharedBanks()) {
+      if (bank.HasUer() && labeler.LabelClass(bank) ==
+                               hbm::FailureClass::kSingleRowClustering) {
+        singles.push_back(&bank);
+      }
+    }
+    const core::CrossRowPredictor predictor(SharedFleet().topology,
+                                            ml::LearnerKind::kRandomForest);
+    return predictor.BuildDataset(singles);
+  }();
+  for (auto _ : state) {
+    auto forest = ml::MakeRandomForest();
+    Rng rng(5);
+    forest->Fit(data, rng);
+    benchmark::DoNotOptimize(forest);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_RandomForestFit)->Unit(benchmark::kMillisecond);
 
 void BM_FleetGeneration(benchmark::State& state) {
   hbm::TopologyConfig topology;

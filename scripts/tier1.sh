@@ -6,7 +6,8 @@
 # engine/profile/replay tests under AddressSanitizer so lifetime bugs in the
 # incremental per-bank state (profile snapshots, bounded retention eviction)
 # fail the run too (including the checkpoint durability torture suite —
-# truncation/bit-flip parsing is exactly where lifetime bugs would hide).
+# truncation/bit-flip parsing is exactly where lifetime bugs would hide —
+# and the tree learner with its hostile-model-file loader tests).
 # Then three smokes with the real daemon binaries: the durability drill (a
 # failpoint power-cuts cordial_serverd mid-checkpoint; the restart must end
 # byte-identical to an uninterrupted reference), the chain drill (same
@@ -56,9 +57,11 @@ else
   # plus the serving-layer tests (shard workers + checkpointing), the
   # observability tests (concurrent metric accumulation, scrape-under-fire,
   # the admin HTTP server) and the network plane (reactor loop thread,
-  # ingest connections, cross-server shard migration).
+  # ingest connections, cross-server shard migration) and the tree
+  # learner's equivalence suite (rank table built under ParallelFor,
+  # parallel per-feature split scans).
   CORDIAL_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
-    -R '^(Parallel|FleetServer|EngineCheckpoint|Obs|MpscRing|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping)'
+    -R '^(Parallel|FleetServer|EngineCheckpoint|Obs|MpscRing|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|ForestSplit)'
 fi
 
 if [[ "$SKIP_ASAN" == "1" ]]; then
@@ -68,7 +71,7 @@ else
     -DCORDIAL_BUILD_BENCHMARKS=OFF -DCORDIAL_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(BankProfile|PredictionEngine|StreamReplayer|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping)'
+    -R '^(BankProfile|PredictionEngine|StreamReplayer|Obs|Durability|Failpoint|Net|Migration|Learn|ModelSwap|Persist|Chain|ReadDisturb|RowMapping|RandomForest|ClassificationTree|Serialize|ForestSplit)'
 fi
 
 if [[ "$SKIP_SMOKE" == "1" ]]; then

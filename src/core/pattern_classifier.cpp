@@ -98,7 +98,7 @@ void PatternClassifier::LoadModel(std::istream& in) {
                      std::to_string(saved) + ", extractor expects " +
                      std::to_string(extractor_.num_features()) + ")");
   }
-  model_ = ml::LoadClassifier(payload);
+  model_ = ml::LoadClassifier(payload, extractor_.num_features());
   trained_ = true;
 }
 

@@ -203,7 +203,8 @@ void GradientBoostedClassifier::Serialize(std::ostream& out) const {
 }
 
 std::unique_ptr<GradientBoostedClassifier>
-GradientBoostedClassifier::Deserialize(std::istream& in) {
+GradientBoostedClassifier::Deserialize(std::istream& in,
+                                       std::size_t num_features) {
   std::string token;
   in >> token;
   if (token != "gbdt") throw ParseError("booster: bad magic '" + token + "'");
@@ -229,7 +230,7 @@ GradientBoostedClassifier::Deserialize(std::istream& in) {
   }
   booster->trees_.reserve(static_cast<std::size_t>(trees));
   for (long t = 0; t < trees; ++t) {
-    booster->trees_.push_back(RegressionTree::Deserialize(in));
+    booster->trees_.push_back(RegressionTree::Deserialize(in, num_features));
   }
   return booster;
 }
@@ -284,14 +285,19 @@ void SaveClassifier(const Classifier& model, std::ostream& out) {
   model.Serialize(out);
 }
 
-std::unique_ptr<Classifier> LoadClassifier(std::istream& in) {
+std::unique_ptr<Classifier> LoadClassifier(std::istream& in,
+                                           std::size_t num_features) {
   // Peek the magic token without consuming it.
   const auto start = in.tellg();
   std::string magic;
   if (!(in >> magic)) throw ParseError("classifier: empty stream");
   in.seekg(start);
-  if (magic == "random_forest") return RandomForestClassifier::Deserialize(in);
-  if (magic == "gbdt") return GradientBoostedClassifier::Deserialize(in);
+  if (magic == "random_forest") {
+    return RandomForestClassifier::Deserialize(in, num_features);
+  }
+  if (magic == "gbdt") {
+    return GradientBoostedClassifier::Deserialize(in, num_features);
+  }
   throw ParseError("classifier: unknown model type '" + magic + "'");
 }
 

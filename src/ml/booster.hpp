@@ -25,7 +25,7 @@ class GradientBoostedClassifier final : public Classifier {
   std::vector<double> FeatureImportance() const override;
   void Serialize(std::ostream& out) const override;
   static std::unique_ptr<GradientBoostedClassifier> Deserialize(
-      std::istream& in);
+      std::istream& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<GradientBoostedClassifier>(*this);
   }

@@ -46,9 +46,13 @@ class Classifier {
 };
 
 /// Persist / restore a fitted classifier with a type tag, so deployment
-/// code can load whatever the training side produced.
+/// code can load whatever the training side produced. The loader takes the
+/// feature count the model is declared to read and throws ParseError for a
+/// model that splits on any other feature or whose trees could not be
+/// walked to a leaf.
 void SaveClassifier(const Classifier& model, std::ostream& out);
-std::unique_ptr<Classifier> LoadClassifier(std::istream& in);
+std::unique_ptr<Classifier> LoadClassifier(std::istream& in,
+                                           std::size_t num_features);
 
 /// The three learner families from the paper.
 enum class LearnerKind {

@@ -1,6 +1,7 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 
@@ -27,6 +28,10 @@ void Dataset::AddRow(std::span<const double> features, int label) {
   CORDIAL_CHECK_MSG(features.size() == num_features_,
                     "feature vector width mismatch");
   CORDIAL_CHECK_MSG(label >= 0 && label < num_classes_, "label out of range");
+  // The tree learners order rows by value; NaN has no place in that order.
+  CORDIAL_CHECK_MSG(std::none_of(features.begin(), features.end(),
+                                 [](double v) { return std::isnan(v); }),
+                    "feature value is NaN");
   x_.insert(x_.end(), features.begin(), features.end());
   labels_.push_back(label);
 }

@@ -16,6 +16,8 @@ class Dataset {
   Dataset(std::size_t num_features, int num_classes,
           std::vector<std::string> feature_names = {});
 
+  /// Appends a row; every value must be a number (infinities are fine,
+  /// NaN is rejected).
   void AddRow(std::span<const double> features, int label);
 
   std::size_t size() const { return labels_.size(); }

@@ -38,6 +38,7 @@ void RandomForestClassifier::Fit(const Dataset& train, Rng& rng) {
                          static_cast<double>(train.num_features())))));
 
   const std::size_t n = train.size();
+  const RankTable table(train);
   // One draw advances the caller's stream (so back-to-back fits differ);
   // every tree then forks the resulting stream at its own index. Bootstrap
   // indices come from the fork, not the shared stream, which makes each
@@ -48,15 +49,17 @@ void RandomForestClassifier::Fit(const Dataset& train, Rng& rng) {
                 ClassificationTree(tree_options));
   ParallelFor(trees_.size(), 1, [&](std::size_t t) {
     Rng tree_rng = forker.Fork(t);
-    std::vector<std::size_t> indices(n);
+    std::vector<std::uint32_t> rows(n);
     if (options_.bootstrap) {
       for (std::size_t i = 0; i < n; ++i) {
-        indices[i] = static_cast<std::size_t>(tree_rng.UniformU64(n));
+        rows[i] = static_cast<std::uint32_t>(tree_rng.UniformU64(n));
       }
     } else {
-      for (std::size_t i = 0; i < n; ++i) indices[i] = i;
+      for (std::size_t i = 0; i < n; ++i) {
+        rows[i] = static_cast<std::uint32_t>(i);
+      }
     }
-    trees_[t].Fit(train, indices, tree_rng);
+    trees_[t].Fit(table, std::move(rows), tree_rng);
   });
 }
 
@@ -94,7 +97,7 @@ void RandomForestClassifier::Serialize(std::ostream& out) const {
 }
 
 std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Deserialize(
-    std::istream& in) {
+    std::istream& in, std::size_t num_features) {
   std::string token;
   in >> token;
   if (token != "random_forest") {
@@ -111,7 +114,12 @@ std::unique_ptr<RandomForestClassifier> RandomForestClassifier::Deserialize(
   forest->num_classes_ = static_cast<int>(classes);
   forest->trees_.reserve(static_cast<std::size_t>(trees));
   for (long t = 0; t < trees; ++t) {
-    forest->trees_.push_back(ClassificationTree::Deserialize(in));
+    forest->trees_.push_back(ClassificationTree::Deserialize(in, num_features));
+    if (forest->trees_.back().num_classes() != forest->num_classes_) {
+      throw ParseError("forest: tree " + std::to_string(t) + " has " +
+                       std::to_string(forest->trees_.back().num_classes()) +
+                       " classes, the forest " + std::to_string(classes));
+    }
   }
   return forest;
 }

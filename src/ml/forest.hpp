@@ -17,7 +17,8 @@ class RandomForestClassifier final : public Classifier {
   const std::string& name() const override { return name_; }
   std::vector<double> FeatureImportance() const override;
   void Serialize(std::ostream& out) const override;
-  static std::unique_ptr<RandomForestClassifier> Deserialize(std::istream& in);
+  static std::unique_ptr<RandomForestClassifier> Deserialize(
+      std::istream& in, std::size_t num_features);
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<RandomForestClassifier>(*this);
   }

@@ -1,9 +1,10 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <limits>
 #include <cstdio>
+#include <limits>
 #include <istream>
 #include <ostream>
 #include <queue>
@@ -110,178 +111,305 @@ double FeatureBinner::BinUpperEdge(std::size_t feature, int bin) const {
 
 // ----------------------------------------------------- classification tree
 
+RankTable::RankTable(const Dataset& data)
+    : num_classes_(data.num_classes()),
+      ranks_(data.size() * data.num_features()),
+      values_(data.num_features()),
+      labels_(data.size()) {
+  const std::size_t n = data.size();
+  CORDIAL_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                    "rank table rows must fit in 32 bits");
+  for (std::size_t i = 0; i < n; ++i) {
+    labels_[i] = static_cast<std::uint32_t>(data.label(i));
+  }
+  ParallelFor(values_.size(), 1, [&](std::size_t f) {
+    std::vector<std::pair<double, std::uint32_t>> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sorted[i] = {data.at(i, f), static_cast<std::uint32_t>(i)};
+    }
+    std::sort(sorted.begin(), sorted.end());
+    std::uint32_t* ranks = ranks_.data() + f * n;
+    std::vector<double>& values = values_[f];
+    for (const auto& [value, row] : sorted) {
+      if (values.empty() || values.back() != value) values.push_back(value);
+      ranks[row] = static_cast<std::uint32_t>(values.size() - 1);
+    }
+  });
+}
+
+namespace {
+
+/// Threshold halfway between two adjacent values. Falls back to
+/// 0.5a + 0.5b only when a + b overflows, so every finite sum keeps the
+/// learner's original 0.5 * (a + b) bits.
+double Midpoint(double a, double b) {
+  const double sum = a + b;
+  return std::isfinite(sum) ? 0.5 * sum : 0.5 * a + 0.5 * b;
+}
+
+/// One feature's best boundary in a node: the node's rows with rank <= lo
+/// go left, those with rank >= hi go right.
+struct FeatureSplit {
+  bool found = false;
+  double impurity = 0.0;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+};
+
+/// Finds the lowest weighted Gini impurity below `impurity_bar` over the
+/// boundaries between a feature's distinct values among `rows`, scanning
+/// boundaries in ascending value order and keeping the first strict
+/// winner. Rows are read as packed `rank << bits | label` keys; when the
+/// node's rank span is no wider than its sample count they are counted
+/// into a ranks x classes histogram, otherwise the keys are sorted.
+FeatureSplit ScanFeature(std::span<const std::uint32_t> ranks,
+                         std::span<const std::uint32_t> labels,
+                         std::span<const std::uint32_t> rows,
+                         const std::vector<double>& counts,
+                         double impurity_bar, double min_samples_leaf) {
+  thread_local std::vector<std::uint64_t> keys;
+  thread_local std::vector<std::uint32_t> hist;
+  thread_local std::vector<double> left;
+  const std::size_t k = counts.size();
+  const int bits = std::bit_width(k - 1);
+  const std::uint64_t label_mask = (std::uint64_t{1} << bits) - 1;
+  const auto total = static_cast<double>(rows.size());
+
+  keys.resize(rows.size());
+  std::uint32_t min_rank = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t max_rank = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::uint32_t rank = ranks[rows[i]];
+    min_rank = std::min(min_rank, rank);
+    max_rank = std::max(max_rank, rank);
+    keys[i] = (std::uint64_t{rank} << bits) | labels[rows[i]];
+  }
+  FeatureSplit best;
+  if (min_rank == max_rank) return best;  // constant in this node
+
+  best.impurity = impurity_bar;
+  left.assign(k, 0.0);
+  // Gini arithmetic of a boundary with `left` holding the class counts of
+  // the n_left rows below it; kept operation for operation as the
+  // per-node sort computed it, so the chosen splits are bit-identical.
+  auto consider = [&](double n_left, std::uint32_t lo, std::uint32_t hi) {
+    const double n_right = total - n_left;
+    if (n_left < min_samples_leaf || n_right < min_samples_leaf) return;
+    double right_sq = 0.0, left_sq = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      left_sq += left[c] * left[c];
+      const double rc = counts[c] - left[c];
+      right_sq += rc * rc;
+    }
+    const double gini_left = 1.0 - left_sq / (n_left * n_left);
+    const double gini_right = 1.0 - right_sq / (n_right * n_right);
+    const double weighted = (n_left * gini_left + n_right * gini_right) / total;
+    if (weighted < best.impurity) best = {true, weighted, lo, hi};
+  };
+
+  const std::size_t span = std::size_t{max_rank} - min_rank + 1;
+  if (span <= rows.size()) {
+    hist.assign(span * k, 0);
+    for (const std::uint64_t key : keys) {
+      ++hist[((key >> bits) - min_rank) * k + (key & label_mask)];
+    }
+    double n_left = 0.0;
+    std::uint32_t prev = min_rank;
+    for (std::size_t r = 0; r < span; ++r) {
+      const std::uint32_t* h = hist.data() + r * k;
+      std::uint32_t here = 0;
+      for (std::size_t c = 0; c < k; ++c) here += h[c];
+      if (here == 0) continue;
+      const auto rank = static_cast<std::uint32_t>(min_rank + r);
+      if (n_left > 0.0) consider(n_left, prev, rank);
+      for (std::size_t c = 0; c < k; ++c) left[c] += h[c];
+      n_left += here;
+      prev = rank;
+    }
+  } else {
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
+      left[keys[i] & label_mask] += 1.0;
+      const auto rank = static_cast<std::uint32_t>(keys[i] >> bits);
+      const auto next = static_cast<std::uint32_t>(keys[i + 1] >> bits);
+      if (rank != next) consider(static_cast<double>(i + 1), rank, next);
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 void ClassificationTree::Fit(const Dataset& data,
                              const std::vector<std::size_t>& indices,
                              Rng& rng) {
-  CORDIAL_CHECK_MSG(!indices.empty(), "cannot fit a tree on zero samples");
-  nodes_.clear();
-  depth_ = 0;
-  num_classes_ = data.num_classes();
-  importance_.assign(data.num_features(), 0.0);
-  std::vector<std::size_t> work(indices);
-  Build(data, work, 0, rng);
+  std::vector<std::uint32_t> rows(indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    CORDIAL_CHECK_MSG(indices[i] < data.size(), "dataset index out of range");
+    rows[i] = static_cast<std::uint32_t>(indices[i]);
+  }
+  Fit(RankTable(data), std::move(rows), rng);
 }
 
-std::int32_t ClassificationTree::Build(const Dataset& data,
-                                       std::vector<std::size_t>& indices,
-                                       int depth, Rng& rng) {
-  depth_ = std::max(depth_, depth);
+void ClassificationTree::Fit(const RankTable& table,
+                             std::vector<std::uint32_t> rows, Rng& rng) {
+  CORDIAL_CHECK_MSG(!rows.empty(), "cannot fit a tree on zero samples");
+  for (const std::uint32_t row : rows) {
+    CORDIAL_CHECK_MSG(row < table.size(), "rank table row out of range");
+  }
+  nodes_.clear();
+  leaf_proba_.clear();
+  depth_ = 0;
+  num_classes_ = table.num_classes();
+  importance_.assign(table.num_features(), 0.0);
   const auto k = static_cast<std::size_t>(num_classes_);
+  const std::span<const std::uint32_t> labels = table.labels();
+  const auto min_samples_leaf =
+      static_cast<double>(options_.min_samples_leaf);
 
-  std::vector<double> counts(k, 0.0);
-  for (std::size_t i : indices) {
-    counts[static_cast<std::size_t>(data.label(i))] += 1.0;
-  }
-  const auto total = static_cast<double>(indices.size());
-  const double parent_impurity = Gini(counts, total);
-
-  auto make_leaf = [&]() -> std::int32_t {
-    Node leaf;
-    leaf.proba.resize(k);
-    for (std::size_t c = 0; c < k; ++c) leaf.proba[c] = counts[c] / total;
-    nodes_.push_back(std::move(leaf));
-    return static_cast<std::int32_t>(nodes_.size() - 1);
+  // Depth-first in preorder, left before right: the order in which nodes
+  // draw their feature subsets from `rng`, and the order they are stored
+  // in. Each pending node owns a contiguous range of `rows`, which its
+  // split partitions in place into the two children's ranges.
+  struct Pending {
+    std::size_t begin;
+    std::size_t end;
+    int depth;
+    std::int32_t right_of;  ///< split whose right child this is, or -1
   };
-
-  const bool pure = std::any_of(counts.begin(), counts.end(), [&](double c) {
-    return c == total;
-  });
-  if (pure || indices.size() < options_.min_samples_split ||
-      (options_.max_depth > 0 && depth >= options_.max_depth)) {
-    return make_leaf();
-  }
-
-  // Best Gini split over a feature subsample. Every candidate feature is
-  // scanned independently (in parallel for large nodes) and the per-feature
-  // winners are reduced in sampled order with strict improvement, which is
-  // exactly the serial loop's first-strict-winner semantics — the chosen
-  // split is identical at every thread count.
-  struct FeatureSplit {
-    bool found = false;
-    double impurity = 0.0;
-    double threshold = 0.0;
-  };
-  const double impurity_bar = parent_impurity - options_.min_impurity_decrease;
-  const std::vector<std::size_t> feats =
-      SampleFeatures(data.num_features(), options_.max_features, rng);
-  auto scan_feature = [&](std::size_t f) {
-    FeatureSplit split;
-    std::vector<std::pair<double, int>> sorted;  // (value, label)
-    sorted.reserve(indices.size());
-    for (std::size_t i : indices) {
-      sorted.emplace_back(data.at(i, f), data.label(i));
-    }
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.front().first == sorted.back().first) return split;  // constant
-
-    double feature_best = impurity_bar;
-    std::vector<double> left_counts(k, 0.0);
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      left_counts[static_cast<std::size_t>(sorted[i].second)] += 1.0;
-      if (sorted[i].first == sorted[i + 1].first) continue;  // same value
-      const auto n_left = static_cast<double>(i + 1);
-      const double n_right = total - n_left;
-      if (n_left < static_cast<double>(options_.min_samples_leaf) ||
-          n_right < static_cast<double>(options_.min_samples_leaf)) {
-        continue;
-      }
-      double right_sq = 0.0, left_sq = 0.0;
-      for (std::size_t c = 0; c < k; ++c) {
-        left_sq += left_counts[c] * left_counts[c];
-        const double rc = counts[c] - left_counts[c];
-        right_sq += rc * rc;
-      }
-      const double gini_left = 1.0 - left_sq / (n_left * n_left);
-      const double gini_right = 1.0 - right_sq / (n_right * n_right);
-      const double weighted =
-          (n_left * gini_left + n_right * gini_right) / total;
-      if (weighted < feature_best) {
-        feature_best = weighted;
-        split.found = true;
-        split.impurity = weighted;
-        split.threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
-      }
-    }
-    return split;
-  };
-
+  std::vector<Pending> stack{{0, rows.size(), 0, -1}};
+  std::vector<double> counts(k);
   std::vector<FeatureSplit> splits;
-  if (indices.size() >= kParallelSplitMinSamples && feats.size() > 1) {
-    splits = ParallelMap<FeatureSplit>(
-        feats.size(), [&](std::size_t fi) { return scan_feature(feats[fi]); });
-  } else {
-    splits.reserve(feats.size());
-    for (std::size_t f : feats) splits.push_back(scan_feature(f));
-  }
-
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  double best_impurity = impurity_bar;
-  for (std::size_t fi = 0; fi < feats.size(); ++fi) {
-    if (splits[fi].found && splits[fi].impurity < best_impurity) {
-      best_impurity = splits[fi].impurity;
-      best_feature = static_cast<int>(feats[fi]);
-      best_threshold = splits[fi].threshold;
+  while (!stack.empty()) {
+    const Pending p = stack.back();
+    stack.pop_back();
+    const auto node_id = static_cast<std::int32_t>(nodes_.size());
+    if (p.right_of >= 0) {
+      nodes_[static_cast<std::size_t>(p.right_of)].right = node_id;
     }
+    depth_ = std::max(depth_, p.depth);
+    const std::span<std::uint32_t> node_rows(rows.data() + p.begin,
+                                             p.end - p.begin);
+
+    std::fill(counts.begin(), counts.end(), 0.0);
+    for (const std::uint32_t row : node_rows) counts[labels[row]] += 1.0;
+    const auto total = static_cast<double>(node_rows.size());
+    const double parent_impurity = Gini(counts, total);
+
+    auto make_leaf = [&] {
+      nodes_.push_back(
+          {0.0, -1, static_cast<std::int32_t>(leaf_proba_.size() / k)});
+      for (std::size_t c = 0; c < k; ++c) {
+        leaf_proba_.push_back(counts[c] / total);
+      }
+    };
+
+    const bool pure = std::any_of(counts.begin(), counts.end(),
+                                  [&](double c) { return c == total; });
+    if (pure || node_rows.size() < options_.min_samples_split ||
+        (options_.max_depth > 0 && p.depth >= options_.max_depth)) {
+      make_leaf();
+      continue;
+    }
+
+    // Best Gini split over a feature subsample. Every candidate feature is
+    // scanned independently (in parallel for large nodes) and the
+    // per-feature winners are reduced in sampled order with strict
+    // improvement, which is exactly the serial loop's first-strict-winner
+    // semantics — the chosen split is identical at every thread count.
+    const double impurity_bar =
+        parent_impurity - options_.min_impurity_decrease;
+    const std::vector<std::size_t> feats =
+        SampleFeatures(table.num_features(), options_.max_features, rng);
+    auto scan_feature = [&](std::size_t fi) {
+      return ScanFeature(table.ranks(feats[fi]), labels, node_rows, counts,
+                         impurity_bar, min_samples_leaf);
+    };
+    if (node_rows.size() >= kParallelSplitMinSamples && feats.size() > 1) {
+      splits = ParallelMap<FeatureSplit>(feats.size(), scan_feature);
+    } else {
+      splits.clear();
+      for (std::size_t fi = 0; fi < feats.size(); ++fi) {
+        splits.push_back(scan_feature(fi));
+      }
+    }
+
+    std::size_t best = feats.size();
+    double best_impurity = impurity_bar;
+    for (std::size_t fi = 0; fi < feats.size(); ++fi) {
+      if (splits[fi].found && splits[fi].impurity < best_impurity) {
+        best_impurity = splits[fi].impurity;
+        best = fi;
+      }
+    }
+    if (best == feats.size()) {
+      make_leaf();
+      continue;
+    }
+
+    // Rows go left iff value <= threshold, i.e. iff their rank is below
+    // the first distinct value above the threshold.
+    const std::size_t feature = feats[best];
+    const std::span<const double> values = table.values(feature);
+    const double threshold =
+        Midpoint(values[splits[best].lo], values[splits[best].hi]);
+    const auto bound = static_cast<std::uint32_t>(
+        std::upper_bound(values.begin(), values.end(), threshold) -
+        values.begin());
+    const std::span<const std::uint32_t> ranks = table.ranks(feature);
+    const auto mid = std::partition(
+        node_rows.begin(), node_rows.end(),
+        [&](std::uint32_t row) { return ranks[row] < bound; });
+    // A midpoint that rounds onto the node's largest value sends every
+    // row left: no split is made, so none is credited.
+    if (mid == node_rows.begin() || mid == node_rows.end()) {
+      make_leaf();
+      continue;
+    }
+    importance_[feature] += (parent_impurity - best_impurity) * total;
+    nodes_.push_back({threshold, static_cast<std::int32_t>(feature), -1});
+    const std::size_t split = p.begin + static_cast<std::size_t>(
+                                            mid - node_rows.begin());
+    stack.push_back({split, p.end, p.depth + 1, node_id});
+    stack.push_back({p.begin, split, p.depth + 1, -1});
   }
+}
 
-  if (best_feature < 0) return make_leaf();
-  importance_[static_cast<std::size_t>(best_feature)] +=
-      (parent_impurity - best_impurity) * total;
-
-  std::vector<std::size_t> left_idx, right_idx;
-  for (std::size_t i : indices) {
-    (data.at(i, static_cast<std::size_t>(best_feature)) <= best_threshold
-         ? left_idx
-         : right_idx)
-        .push_back(i);
+const double* ClassificationTree::LeafProba(
+    std::span<const double> features) const {
+  CORDIAL_CHECK_MSG(!nodes_.empty(), "tree not fitted");
+  CORDIAL_CHECK_MSG(features.size() >= importance_.size(),
+                    "feature vector narrower than the tree's features");
+  const Node* nodes = nodes_.data();
+  std::size_t i = 0;
+  while (nodes[i].feature >= 0) {
+    const Node& n = nodes[i];
+    i = features[static_cast<std::size_t>(n.feature)] <= n.threshold
+            ? i + 1
+            : static_cast<std::size_t>(n.right);
   }
-  if (left_idx.empty() || right_idx.empty()) return make_leaf();
-  indices.clear();
-  indices.shrink_to_fit();
-
-  const auto node_id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<std::size_t>(node_id)].feature = best_feature;
-  nodes_[static_cast<std::size_t>(node_id)].threshold = best_threshold;
-  const std::int32_t left = Build(data, left_idx, depth + 1, rng);
-  const std::int32_t right = Build(data, right_idx, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(node_id)].left = left;
-  nodes_[static_cast<std::size_t>(node_id)].right = right;
-  return node_id;
+  return leaf_proba_.data() + static_cast<std::size_t>(nodes[i].right) *
+                                  static_cast<std::size_t>(num_classes_);
 }
 
 std::vector<double> ClassificationTree::PredictProba(
     std::span<const double> features) const {
-  CORDIAL_CHECK_MSG(!nodes_.empty(), "tree not fitted");
-  std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const Node& n = nodes_[node];
-    const double v = features[static_cast<std::size_t>(n.feature)];
-    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
-  }
-  return nodes_[node].proba;
+  const double* proba = LeafProba(features);
+  return {proba, proba + num_classes_};
 }
 
 void ClassificationTree::PredictProbaInto(std::span<const double> features,
                                           std::span<double> out) const {
-  CORDIAL_CHECK_MSG(!nodes_.empty(), "tree not fitted");
-  std::size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const Node& n = nodes_[node];
-    const double v = features[static_cast<std::size_t>(n.feature)];
-    node = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
-  }
-  const std::vector<double>& proba = nodes_[node].proba;
-  CORDIAL_CHECK_MSG(out.size() >= proba.size(),
-                    "output span smaller than class count");
-  for (std::size_t c = 0; c < proba.size(); ++c) out[c] += proba[c];
+  const double* proba = LeafProba(features);
+  const auto k = static_cast<std::size_t>(num_classes_);
+  CORDIAL_CHECK_MSG(out.size() >= k, "output span smaller than class count");
+  for (std::size_t c = 0; c < k; ++c) out[c] += proba[c];
 }
 
 int ClassificationTree::Predict(std::span<const double> features) const {
-  const std::vector<double> proba = PredictProba(features);
-  return static_cast<int>(
-      std::max_element(proba.begin(), proba.end()) - proba.begin());
+  const double* proba = LeafProba(features);
+  return static_cast<int>(std::max_element(proba, proba + num_classes_) -
+                          proba);
 }
 
 // -------------------------------------------------------- regression tree
@@ -560,18 +688,23 @@ void ExpectToken(std::istream& in, const char* token) {
 }  // namespace
 
 void ClassificationTree::Serialize(std::ostream& out) const {
+  const auto k = static_cast<std::size_t>(num_classes_);
   out << "classification_tree v1\n"
       << "classes " << num_classes_ << " nodes " << nodes_.size()
       << " importance " << importance_.size() << "\n";
-  for (const Node& n : nodes_) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
     out << n.feature << ' ';
     WriteDouble(out, n.threshold);
-    out << ' ' << n.left << ' ' << n.right;
     if (n.feature < 0) {
-      for (double p : n.proba) {
+      out << " -1 -1";
+      const std::size_t first = static_cast<std::size_t>(n.right) * k;
+      for (std::size_t c = 0; c < k; ++c) {
         out << ' ';
-        WriteDouble(out, p);
+        WriteDouble(out, leaf_proba_[first + c]);
       }
+    } else {
+      out << ' ' << i + 1 << ' ' << n.right;
     }
     out << '\n';
   }
@@ -581,34 +714,61 @@ void ClassificationTree::Serialize(std::ostream& out) const {
   }
 }
 
-ClassificationTree ClassificationTree::Deserialize(std::istream& in) {
+ClassificationTree ClassificationTree::Deserialize(std::istream& in,
+                                                   std::size_t num_features) {
   ExpectToken(in, "classification_tree");
   ExpectToken(in, "v1");
   ExpectToken(in, "classes");
   ClassificationTree tree;
-  tree.num_classes_ = static_cast<int>(ReadLong(in));
-  CORDIAL_CHECK_MSG(tree.num_classes_ >= 2, "tree: bad class count");
+  const long classes = ReadLong(in);
+  if (classes < 2 || classes > std::numeric_limits<std::int32_t>::max()) {
+    throw ParseError("tree: bad class count");
+  }
+  tree.num_classes_ = static_cast<int>(classes);
   ExpectToken(in, "nodes");
   const long n_nodes = ReadLong(in);
-  CORDIAL_CHECK_MSG(n_nodes >= 1, "tree: bad node count");
-  ExpectToken(in, "importance");
-  const long n_importance = ReadLong(in);
-  tree.nodes_.resize(static_cast<std::size_t>(n_nodes));
-  for (Node& node : tree.nodes_) {
-    node.feature = static_cast<int>(ReadLong(in));
-    node.threshold = ReadDouble(in);
-    node.left = static_cast<std::int32_t>(ReadLong(in));
-    node.right = static_cast<std::int32_t>(ReadLong(in));
-    if (node.feature < 0) {
-      node.proba.resize(static_cast<std::size_t>(tree.num_classes_));
-      for (double& p : node.proba) p = ReadDouble(in);
-    } else {
-      CORDIAL_CHECK_MSG(node.left >= 0 && node.left < n_nodes &&
-                            node.right >= 0 && node.right < n_nodes,
-                        "tree: child index out of range");
-    }
+  if (n_nodes < 1 || n_nodes > std::numeric_limits<std::int32_t>::max()) {
+    throw ParseError("tree: bad node count");
   }
-  tree.importance_.resize(static_cast<std::size_t>(n_importance));
+  ExpectToken(in, "importance");
+  if (ReadLong(in) != static_cast<long>(num_features)) {
+    throw ParseError("tree: importance count differs from the model's " +
+                     std::to_string(num_features) + " features");
+  }
+  // Everything the prediction walk relies on: a split's feature is one of
+  // the model's, its left child is the next node and its right child comes
+  // after that, so every walk moves forward and ends on a leaf.
+  for (long i = 0; i < n_nodes; ++i) {
+    const long feature = ReadLong(in);
+    const double threshold = ReadDouble(in);
+    const long left = ReadLong(in);
+    const long right = ReadLong(in);
+    auto fail = [&](const std::string& what) {
+      throw ParseError("tree: node " + std::to_string(i) + " " + what);
+    };
+    if (feature == -1) {
+      if (left != -1 || right != -1) fail("is a leaf with children");
+      tree.nodes_.push_back(
+          {threshold, -1,
+           static_cast<std::int32_t>(tree.leaf_proba_.size() /
+                                     static_cast<std::size_t>(classes))});
+      for (long c = 0; c < classes; ++c) {
+        tree.leaf_proba_.push_back(ReadDouble(in));
+      }
+      continue;
+    }
+    if (feature < 0 || static_cast<std::size_t>(feature) >= num_features) {
+      fail("splits on feature " + std::to_string(feature) + " of " +
+           std::to_string(num_features));
+    }
+    if (left != i + 1 || right <= i + 1 || right >= n_nodes) {
+      fail("is not in preorder (children " + std::to_string(left) + ", " +
+           std::to_string(right) + ")");
+    }
+    tree.nodes_.push_back({threshold, static_cast<std::int32_t>(feature),
+                           static_cast<std::int32_t>(right)});
+  }
+  tree.importance_.resize(num_features);
   for (double& v : tree.importance_) v = ReadDouble(in);
   return tree;
 }
@@ -630,29 +790,47 @@ void RegressionTree::Serialize(std::ostream& out) const {
   }
 }
 
-RegressionTree RegressionTree::Deserialize(std::istream& in) {
+RegressionTree RegressionTree::Deserialize(std::istream& in,
+                                           std::size_t num_features) {
   ExpectToken(in, "regression_tree");
   ExpectToken(in, "v1");
   ExpectToken(in, "nodes");
   RegressionTree tree;
   const long n_nodes = ReadLong(in);
-  CORDIAL_CHECK_MSG(n_nodes >= 1, "tree: bad node count");
-  ExpectToken(in, "importance");
-  const long n_importance = ReadLong(in);
-  tree.nodes_.resize(static_cast<std::size_t>(n_nodes));
-  for (Node& node : tree.nodes_) {
-    node.feature = static_cast<int>(ReadLong(in));
-    node.threshold = ReadDouble(in);
-    node.left = static_cast<std::int32_t>(ReadLong(in));
-    node.right = static_cast<std::int32_t>(ReadLong(in));
-    node.value = ReadDouble(in);
-    if (node.feature >= 0) {
-      CORDIAL_CHECK_MSG(node.left >= 0 && node.left < n_nodes &&
-                            node.right >= 0 && node.right < n_nodes,
-                        "tree: child index out of range");
-    }
+  if (n_nodes < 1 || n_nodes > std::numeric_limits<std::int32_t>::max()) {
+    throw ParseError("tree: bad node count");
   }
-  tree.importance_.resize(static_cast<std::size_t>(n_importance));
+  ExpectToken(in, "importance");
+  if (ReadLong(in) != static_cast<long>(num_features)) {
+    throw ParseError("tree: importance count differs from the model's " +
+                     std::to_string(num_features) + " features");
+  }
+  // Fit appends both children after their parent, so a walk that only
+  // moves to higher node numbers is all a valid tree needs.
+  for (long i = 0; i < n_nodes; ++i) {
+    Node node;
+    const long feature = ReadLong(in);
+    node.threshold = ReadDouble(in);
+    const long left = ReadLong(in);
+    const long right = ReadLong(in);
+    node.value = ReadDouble(in);
+    if (feature >= 0) {
+      if (static_cast<std::size_t>(feature) >= num_features) {
+        throw ParseError("tree: node " + std::to_string(i) +
+                         " splits on feature " + std::to_string(feature) +
+                         " of " + std::to_string(num_features));
+      }
+      if (left <= i || left >= n_nodes || right <= i || right >= n_nodes) {
+        throw ParseError("tree: node " + std::to_string(i) +
+                         " has a child out of order");
+      }
+      node.feature = static_cast<int>(feature);
+      node.left = static_cast<std::int32_t>(left);
+      node.right = static_cast<std::int32_t>(right);
+    }
+    tree.nodes_.push_back(node);
+  }
+  tree.importance_.resize(num_features);
   for (double& v : tree.importance_) v = ReadDouble(in);
   return tree;
 }

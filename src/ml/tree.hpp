@@ -43,6 +43,36 @@ class FeatureBinner {
 
 // ----------------------------------------------------- classification tree
 
+/// Per-feature value ranks of every row of a dataset, built once per fit
+/// and read by every tree of it. Tied values share a rank, and rank r of a
+/// feature stands for its r-th smallest distinct value, so comparing ranks
+/// orders rows exactly as comparing values does.
+class RankTable {
+ public:
+  explicit RankTable(const Dataset& data);
+
+  std::size_t size() const { return labels_.size(); }
+  std::size_t num_features() const { return values_.size(); }
+  int num_classes() const { return num_classes_; }
+
+  /// Rank of every row for `feature`, indexed by row.
+  std::span<const std::uint32_t> ranks(std::size_t feature) const {
+    return {ranks_.data() + feature * size(), size()};
+  }
+  /// The feature's distinct values, ascending; values(f)[ranks(f)[i]] is
+  /// row i's value.
+  std::span<const double> values(std::size_t feature) const {
+    return values_[feature];
+  }
+  std::span<const std::uint32_t> labels() const { return labels_; }
+
+ private:
+  int num_classes_;
+  std::vector<std::uint32_t> ranks_;  // feature-major
+  std::vector<std::vector<double>> values_;
+  std::vector<std::uint32_t> labels_;
+};
+
 struct ClassificationTreeOptions {
   int max_depth = 24;
   std::size_t min_samples_split = 2;
@@ -61,6 +91,9 @@ class ClassificationTree {
   /// bootstrap samples). `rng` drives feature subsampling.
   void Fit(const Dataset& data, const std::vector<std::size_t>& indices,
            Rng& rng);
+  /// Fit on `rows` (row numbers of `table`, duplicates allowed); the
+  /// forest's path, which shares one rank table between its trees.
+  void Fit(const RankTable& table, std::vector<std::uint32_t> rows, Rng& rng);
 
   /// Class-probability vector (leaf class frequencies).
   std::vector<double> PredictProba(std::span<const double> features) const;
@@ -72,6 +105,7 @@ class ClassificationTree {
 
   std::size_t node_count() const { return nodes_.size(); }
   int depth() const { return depth_; }
+  int num_classes() const { return num_classes_; }
 
   /// Per-feature total impurity decrease (weighted by node size); empty
   /// before fitting. Not normalized.
@@ -80,24 +114,28 @@ class ClassificationTree {
   }
 
   /// Line-based text serialization; Deserialize(Serialize(t)) reproduces
-  /// identical predictions.
+  /// identical predictions. Deserialize throws ParseError unless the nodes
+  /// form a preorder tree over features [0, num_features).
   void Serialize(std::ostream& out) const;
-  static ClassificationTree Deserialize(std::istream& in);
+  static ClassificationTree Deserialize(std::istream& in,
+                                        std::size_t num_features);
 
  private:
+  /// One preorder node: a split's left child is the next node, its right
+  /// child is `right`. A leaf has feature -1 and `right` is its ordinal,
+  /// whose class frequencies start at leaf_proba_[right * num_classes_].
   struct Node {
-    int feature = -1;  ///< -1 for leaves
     double threshold = 0.0;
-    std::int32_t left = -1;
+    std::int32_t feature = -1;
     std::int32_t right = -1;
-    std::vector<double> proba;  ///< leaves only
   };
+  static_assert(sizeof(Node) == 16);
 
-  std::int32_t Build(const Dataset& data, std::vector<std::size_t>& indices,
-                     int depth, Rng& rng);
+  const double* LeafProba(std::span<const double> features) const;
 
   ClassificationTreeOptions options_;
   std::vector<Node> nodes_;
+  std::vector<double> leaf_proba_;
   std::vector<double> importance_;
   int num_classes_ = 0;
   int depth_ = 0;
@@ -143,9 +181,12 @@ class RegressionTree {
   }
 
   /// Line-based text serialization; Deserialize(Serialize(t)) reproduces
-  /// identical predictions.
+  /// identical predictions. Deserialize throws ParseError unless every
+  /// split reads a feature in [0, num_features) and both its children come
+  /// after it.
   void Serialize(std::ostream& out) const;
-  static RegressionTree Deserialize(std::istream& in);
+  static RegressionTree Deserialize(std::istream& in,
+                                    std::size_t num_features);
 
  private:
   struct Node {

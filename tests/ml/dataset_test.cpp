@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/check.hpp"
@@ -65,6 +67,19 @@ TEST(Dataset, RejectsBadInput) {
   EXPECT_THROW(Dataset(0, 2), ContractViolation);
   EXPECT_THROW(Dataset(2, 1), ContractViolation);
   EXPECT_THROW(data.at(0, 0), ContractViolation);  // empty dataset
+}
+
+TEST(Dataset, RejectsNaNFeaturesButKeepsInfinities) {
+  // The tree learners sort rows by value; NaN would break that order.
+  Dataset data(2, 2);
+  const double nan_row[] = {1.0, std::nan("")};
+  EXPECT_THROW(data.AddRow(std::span<const double>(nan_row, 2), 0),
+               ContractViolation);
+  EXPECT_TRUE(data.empty());
+  const double inf_row[] = {-std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::infinity()};
+  data.AddRow(std::span<const double>(inf_row, 2), 1);
+  EXPECT_EQ(data.size(), 1u);
 }
 
 TEST(StratifiedSplit, PartitionsWithoutOverlap) {

@@ -42,7 +42,7 @@ TEST(Serialize, ClassificationTreeRoundTrip) {
 
   std::stringstream buffer;
   tree.Serialize(buffer);
-  const ClassificationTree restored = ClassificationTree::Deserialize(buffer);
+  const ClassificationTree restored = ClassificationTree::Deserialize(buffer, data.num_features());
   EXPECT_EQ(restored.node_count(), tree.node_count());
   for (std::size_t i = 0; i < data.size(); i += 5) {
     EXPECT_EQ(restored.PredictProba(data.row(i)), tree.PredictProba(data.row(i)));
@@ -67,7 +67,7 @@ TEST(Serialize, RegressionTreeRoundTrip) {
 
   std::stringstream buffer;
   tree.Serialize(buffer);
-  const RegressionTree restored = RegressionTree::Deserialize(buffer);
+  const RegressionTree restored = RegressionTree::Deserialize(buffer, data.num_features());
   EXPECT_EQ(restored.node_count(), tree.node_count());
   for (std::size_t i = 0; i < data.size(); i += 7) {
     EXPECT_EQ(restored.Predict(data.row(i)), tree.Predict(data.row(i)));
@@ -85,7 +85,7 @@ TEST(Serialize, RandomForestRoundTrip) {
 
   std::stringstream buffer;
   SaveClassifier(forest, buffer);
-  const auto restored = LoadClassifier(buffer);
+  const auto restored = LoadClassifier(buffer, data.num_features());
   ExpectIdenticalProba(forest, *restored, data);
 }
 
@@ -100,7 +100,7 @@ TEST(Serialize, XgbStyleBoosterRoundTrip) {
 
   std::stringstream buffer;
   SaveClassifier(*booster, buffer);
-  const auto restored = LoadClassifier(buffer);
+  const auto restored = LoadClassifier(buffer, data.num_features());
   ExpectIdenticalProba(*booster, *restored, data);
 }
 
@@ -113,7 +113,7 @@ TEST(Serialize, LgbmStyleBoosterRoundTrip) {
 
   std::stringstream buffer;
   SaveClassifier(*booster, buffer);
-  const auto restored = LoadClassifier(buffer);
+  const auto restored = LoadClassifier(buffer, data.num_features());
   ExpectIdenticalProba(*booster, *restored, data);
 }
 
@@ -125,9 +125,9 @@ TEST(Serialize, RoundTripSurvivesDoubleSerialization) {
   model->Fit(data, fit_rng);
   std::stringstream first, second;
   SaveClassifier(*model, first);
-  const auto once = LoadClassifier(first);
+  const auto once = LoadClassifier(first, data.num_features());
   SaveClassifier(*once, second);
-  EXPECT_NO_THROW(LoadClassifier(second));
+  EXPECT_NO_THROW(LoadClassifier(second, data.num_features()));
 }
 
 TEST(Serialize, UnfittedModelsRefuseToSerialize) {
@@ -140,21 +140,70 @@ TEST(Serialize, UnfittedModelsRefuseToSerialize) {
 
 TEST(Serialize, LoadRejectsGarbage) {
   std::istringstream empty("");
-  EXPECT_THROW(LoadClassifier(empty), ParseError);
+  EXPECT_THROW(LoadClassifier(empty, 3), ParseError);
   std::istringstream junk("not_a_model v1");
-  EXPECT_THROW(LoadClassifier(junk), ParseError);
+  EXPECT_THROW(LoadClassifier(junk, 3), ParseError);
   std::istringstream truncated("random_forest v1\nclasses 3 trees 5\n");
-  EXPECT_THROW(LoadClassifier(truncated), ParseError);
+  EXPECT_THROW(LoadClassifier(truncated, 3), ParseError);
   std::istringstream bad_header("random_forest v2\n");
-  EXPECT_THROW(LoadClassifier(bad_header), ParseError);
+  EXPECT_THROW(LoadClassifier(bad_header, 3), ParseError);
 }
 
 TEST(Serialize, TreeDeserializeValidatesChildren) {
   // A decision node whose child index points past the node table.
   std::istringstream evil(
-      "classification_tree v1\nclasses 2 nodes 1 importance 0\n"
+      "classification_tree v1\nclasses 2 nodes 1 importance 1\n"
       "0 0.5 5 6\n");
-  EXPECT_THROW(ClassificationTree::Deserialize(evil), ContractViolation);
+  EXPECT_THROW(ClassificationTree::Deserialize(evil, 1), ParseError);
+}
+
+TEST(Serialize, TreeDeserializeRejectsANodeThatIsItsOwnChild) {
+  // Loaded, this node would send every prediction back to itself forever.
+  std::istringstream evil(
+      "classification_tree v1\nclasses 2 nodes 1 importance 1\n"
+      "0 0.5 0 0\n0\n");
+  EXPECT_THROW(ClassificationTree::Deserialize(evil, 1), ParseError);
+  // A right child that points back up the tree is a loop too.
+  std::istringstream backwards(
+      "classification_tree v1\nclasses 2 nodes 3 importance 1\n"
+      "0 0.5 1 2\n0 0.5 2 0\n-1 0 -1 -1 1 0\n0\n");
+  EXPECT_THROW(ClassificationTree::Deserialize(backwards, 1), ParseError);
+  std::istringstream regression(
+      "regression_tree v1\nnodes 1 importance 1\n0 0.5 0 0 0\n0\n");
+  EXPECT_THROW(RegressionTree::Deserialize(regression, 1), ParseError);
+}
+
+TEST(Serialize, TreeDeserializeRejectsAFeatureOutsideTheModel) {
+  // Loaded, this split would read 800 MB past a 3-wide feature vector.
+  const std::string tree =
+      "classification_tree v1\nclasses 2 nodes 3 importance 3\n"
+      "100000000 0.5 1 2\n-1 0 -1 -1 1 0\n-1 0 -1 -1 0 1\n0\n0\n0\n";
+  std::istringstream evil(tree);
+  EXPECT_THROW(ClassificationTree::Deserialize(evil, 3), ParseError);
+  std::istringstream forest("random_forest v1\nclasses 2 trees 1\n" + tree);
+  EXPECT_THROW(LoadClassifier(forest, 3), ParseError);
+  std::istringstream regression(
+      "regression_tree v1\nnodes 3 importance 3\n"
+      "3 0.5 1 2 0\n-1 0 -1 -1 1\n-1 0 -1 -1 2\n0\n0\n0\n");
+  EXPECT_THROW(RegressionTree::Deserialize(regression, 3), ParseError);
+
+  // The same tree on feature 2 of 3 loads and predicts.
+  std::istringstream fine(
+      "classification_tree v1\nclasses 2 nodes 3 importance 3\n"
+      "2 0.5 1 2\n-1 0 -1 -1 1 0\n-1 0 -1 -1 0 1\n0\n0\n0\n");
+  const ClassificationTree loaded = ClassificationTree::Deserialize(fine, 3);
+  const double x[] = {0.0, 0.0, 1.0};
+  EXPECT_EQ(loaded.Predict(x), 1);
+}
+
+TEST(Serialize, ForestDeserializeRejectsATreeWithAnotherClassCount) {
+  // A 3-class tree in a 2-class forest would add past the forest's
+  // probability vector.
+  std::istringstream evil(
+      "random_forest v1\nclasses 2 trees 1\n"
+      "classification_tree v1\nclasses 3 nodes 1 importance 1\n"
+      "-1 0 -1 -1 0.2 0.3 0.5\n0\n");
+  EXPECT_THROW(LoadClassifier(evil, 1), ParseError);
 }
 
 }  // namespace

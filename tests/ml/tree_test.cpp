@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -138,6 +140,46 @@ TEST(ClassificationTree, EmptyFitThrows) {
   const Dataset data = Blobs(5, rng);
   ClassificationTree tree;
   EXPECT_THROW(tree.Fit(data, {}, rng), ContractViolation);
+}
+
+TEST(ClassificationTree, OverflowingMidpointStillSplits) {
+  // 1e308 + 1.5e308 overflows; the threshold must still fall between them.
+  Dataset data(1, 2);
+  for (int i = 0; i < 4; ++i) {
+    const double x = i % 2 == 0 ? 1e308 : 1.5e308;
+    data.AddRow(std::span<const double>(&x, 1), i % 2);
+  }
+  Rng rng(8);
+  ClassificationTree tree;
+  tree.Fit(data, AllIndices(data.size()), rng);
+  EXPECT_EQ(tree.node_count(), 3u);
+  EXPECT_GT(tree.feature_importance()[0], 0.0);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(tree.Predict(data.row(i)), data.label(i));
+  }
+}
+
+TEST(ClassificationTree, SplitThatCannotBeMadeEarnsNoImportance) {
+  // The best boundary's midpoint equals the upper value, so "value <=
+  // threshold" keeps every row on the left: the node stays a leaf, and a
+  // leaf credits no impurity decrease. Once through an overflow to +inf,
+  // once through rounding between adjacent doubles.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::ldexp(1.0, -52);
+  const std::pair<double, double> cases[] = {{1e308, inf},
+                                             {1.0 + tiny, 1.0 + 2 * tiny}};
+  for (const auto& [low, high] : cases) {
+    Dataset data(1, 2);
+    for (int i = 0; i < 4; ++i) {
+      const double x = i % 2 == 0 ? low : high;
+      data.AddRow(std::span<const double>(&x, 1), i % 2);
+    }
+    Rng rng(9);
+    ClassificationTree tree;
+    tree.Fit(data, AllIndices(data.size()), rng);
+    EXPECT_EQ(tree.node_count(), 1u) << low;
+    EXPECT_EQ(tree.feature_importance()[0], 0.0) << low;
+  }
 }
 
 // ------------------------------------------------------ regression tree
